@@ -66,18 +66,21 @@ def trace_report(data: Dict[str, object]) -> Dict[str, object]:
         "makespan_beats": makespan,
     }
 
-    # Per-worker view: executions from spans, busy beats from the metric
-    # the telemetry layer publishes (already overlap-clipped).
+    # Per-worker view: executions from the service's execution spans (one
+    # per shard or batch run, deaths included), samples served from the
+    # worker spans under them, busy beats from the metric the telemetry
+    # layer publishes (already overlap-clipped).
     worker_execs: Dict[str, int] = {}
     worker_chars: Dict[str, int] = {}
     for s in spans:
-        if s.get("name") != "worker.match":
-            continue
+        name = s.get("name")
         w = str(s["attrs"].get("worker", "?"))
-        worker_execs[w] = worker_execs.get(w, 0) + 1
-        worker_chars[w] = worker_chars.get(w, 0) + int(
-            s["attrs"].get("chars", 0)
-        )
+        if name in ("service.execution", "service.batch"):
+            worker_execs[w] = worker_execs.get(w, 0) + 1
+        elif name in ("worker.kernel", "worker.batch"):
+            worker_chars[w] = worker_chars.get(w, 0) + int(
+                s["attrs"].get("samples", 0)
+            )
     workers = {}
     busy_rows = _metric_rows(metrics, "service.worker.busy_beats")
     names = sorted(

@@ -46,7 +46,7 @@ from ..service.reliability import (
     SoftwareFallback,
 )
 from ..service.scheduler import Priority
-from ..workloads.registry import WorkloadSpec, get_workload
+from ..workloads.registry import MATCH, WorkloadSpec, get_workload
 from .admission import RateLimiter
 from .channels import JobReply, JobRequest
 from .pool import WorkerPool
@@ -273,7 +273,7 @@ class AsyncMatcherService:
         stream: Sequence,
         tenant: str = "default",
         priority: Priority = Priority.BATCH,
-        workload: str = "match",
+        workload: str = MATCH.name,
         timeout: Optional[float] = None,
     ) -> int:
         """Admit one job; returns its id (await :meth:`result` for the
@@ -366,7 +366,7 @@ class AsyncMatcherService:
         streams: Sequence[Sequence],
         tenant: str = "default",
         priority: Priority = Priority.BATCH,
-        workload: str = "match",
+        workload: str = MATCH.name,
         timeout: Optional[float] = None,
     ) -> List[int]:
         """Admit one job per stream, coalescing compatible work.
@@ -673,10 +673,7 @@ class AsyncMatcherService:
     def _serve_fallback(self, job: _Job, reason: str) -> None:
         """Host-side degraded service: the oracle answer, never wrong."""
         t0 = self._now()
-        if job.workload == "match":
-            merged = self.fallback.match(job.taps, job.stream)
-        else:
-            merged = self.fallback.kernel(job.spec, job.taps, job.stream)
+        merged = self.fallback.kernel(job.spec, job.taps, job.stream)
         results = job.spec.finalize(job.taps, job.orig_len, merged)
         self._m_fallbacks.inc()
         if self.obs is not None:

@@ -7,8 +7,8 @@ concurrent match queries multiplexed onto a pool of simulated devices,
 with bounded queues and backpressure (CSP-style channels between explicit
 scheduler and worker processes), priority classes, tenant fairness,
 pattern/text sharding, fault injection with retry-and-reassignment, and
-graceful degradation to the Section 3.3 software baselines when the pool
-is saturated or exhausted.
+graceful degradation to each workload's oracle on the host CPU when the
+pool is saturated or exhausted.
 
 The public surface is :class:`MatcherService` (``submit``/``drain``) over
 a :class:`DevicePool`; everything is beat-accounted against the paper's
@@ -24,7 +24,7 @@ Layout
 * :mod:`~repro.service.sharding` -- long patterns via multipass, wide
   texts split across workers and merged back into one result stream.
 * :mod:`~repro.service.reliability` -- fault injection, retry policy,
-  and the software-baseline fallback path.
+  and the host-oracle fallback path.
 * :mod:`~repro.service.telemetry` -- per-job and per-worker counters
   rendered through :class:`repro.analysis.report.Table`.
 * :mod:`~repro.service.cache` -- the cross-tenant :class:`ResultCache`
@@ -69,7 +69,6 @@ from .sharding import (
     ShardMode,
     ShardPlan,
     TextShard,
-    merge_shard_results,
     merge_shard_values,
     plan_shards,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "TextShard",
     "WorkerState",
     "cascade_pool",
-    "merge_shard_results",
     "merge_shard_values",
     "plan_shards",
     "pool_from_wafers",

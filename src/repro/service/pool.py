@@ -22,12 +22,12 @@ from typing import List, Optional, Sequence
 from ..alphabet import Alphabet, PatternChar
 from ..chip.cascade import ChipCascade
 from ..chip.chip import ChipSpec, PatternMatchingChip
-from ..core.fastpath import FastMatcher, fast_match_many
 from ..core.multipass import runs_required
 from ..errors import ChipError, ServiceError
 from ..timing.model import TimingModel
 from ..wafer.reconfigure import harvest_linear_array
 from ..wafer.wafer import Wafer
+from ..workloads.registry import MATCH
 
 
 class WorkerState(Enum):
@@ -74,11 +74,8 @@ class PoolWorker:
         self.alphabet = alphabet
         self.timing = TimingModel(beat_ns)
         self.state = WorkerState.DEAD if capacity == 0 else WorkerState.IDLE
-        # Compiled-pattern cache: farms typically run many texts against
-        # one pattern, so keep the last FastMatcher built for this worker.
-        self._fast: Optional[FastMatcher] = None
-        self._fast_key: Optional[tuple] = None
-        # Gate-level twin for deep tracing (built lazily, same cache idea).
+        # Gate-level twin for deep tracing, built lazily and kept for
+        # the last pattern (farms run many texts against one pattern).
         self._gate: Optional[object] = None
         self._gate_key: Optional[tuple] = None
         # A latent circuit defect (repro.service.reliability.CellDefect)
@@ -179,45 +176,12 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List[bool]:
-        """Execute one match on this worker's engine.
-
-        The result stream is always computed on the packed-word fast
-        path (:class:`~repro.core.fastpath.FastMatcher`, proven
-        bit-identical to the stepwise chip/cascade/multipass models);
-        whether the job *fits* or needs the Section 3.4 multipass scheme
-        only affects the beat and bus accounting in
-        :meth:`service_beats` / :meth:`transfer_chars`.
-
-        With an :class:`~repro.obs.Observability` bundle this records a
-        ``worker.match`` span (``t0``/``t1`` are the execution's service
-        beats, ``parent`` its job span) and, when ``obs.deep`` is set,
-        re-drives the execution through the beat-accurate array -- and,
-        when ``obs.trace_circuit`` allows, the transistor-level netlist --
-        purely for observation: the returned results are ALWAYS the fast
-        path's.
-        """
-        if not self.is_live or self.backend is None:
-            raise ServiceError(
-                f"worker {self.name!r} is not live ({self.state.value})"
-            )
-        key = tuple(pattern)
-        fast = self._fast
-        if fast is None or key != self._fast_key:
-            fast = FastMatcher(list(key), self.alphabet)
-            self._fast = fast
-            self._fast_key = key
-        results = fast.match(text)
-        if obs is not None:
-            span = obs.tracer.record(
-                "worker.match", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, chars=len(text), pattern_len=len(key),
-                engine="fastpath",
-            )
-            obs.registry.counter("worker.matches", worker=self.name).inc()
-            obs.registry.counter("worker.chars", worker=self.name).inc(len(text))
-            if obs.deep:
-                self._deep_trace(obs, span, key, text, results)
-        return results
+        """Execute one match on this worker: :meth:`run_kernel` with the
+        registry's ``match`` workload."""
+        return self.run_kernel(
+            MATCH, MATCH.parse_params(pattern, self.alphabet), text,
+            obs=obs, parent=parent, t0=t0, t1=t1,
+        )
 
     def run_kernel(
         self,
@@ -233,12 +197,21 @@ class PoolWorker:
 
         *spec* is a :class:`~repro.workloads.WorkloadSpec`; *taps* are its
         prepared taps and *stream* the (shard of the) prepared stream.
-        Like :meth:`run_match`, the values come from the packed/strided
-        fast kernel while multipass-vs-direct only affects the beat and
-        bus accounting.  With an :class:`~repro.obs.Observability` bundle
-        this records a ``worker.kernel`` span, and ``obs.deep`` re-checks
-        the window values against the workload's direct oracle (recorded
-        as ``oracle_agrees``; results are always the fast kernel's).
+        The values come from the workload's packed/strided fast kernel
+        (proven identical to the stepwise chip/cascade/multipass models);
+        whether the job *fits* or needs the Section 3.4 multipass scheme
+        only affects the beat and bus accounting in
+        :meth:`service_beats` / :meth:`transfer_chars`.
+
+        With an :class:`~repro.obs.Observability` bundle this records a
+        ``worker.kernel`` span (``t0``/``t1`` are the execution's service
+        beats, ``parent`` its job span), and ``obs.deep`` re-checks the
+        window values against the workload's direct oracle (recorded as
+        ``oracle_agrees``).  For ``match``, the one workload with a
+        physical twin, deep mode also re-drives the execution through the
+        beat-accurate array -- and, when ``obs.trace_circuit`` allows,
+        the transistor-level netlist.  All of it is observation only: the
+        returned results are ALWAYS the fast kernel's.
         """
         if not self.is_live or self.backend is None:
             raise ServiceError(
@@ -260,6 +233,8 @@ class PoolWorker:
             if obs.deep:
                 oracle = spec.oracle(taps, stream, self.alphabet)
                 span.attrs["oracle_agrees"] = oracle == results
+                if spec.name == MATCH.name:
+                    self._deep_trace(obs, span, tuple(taps), stream, results)
         return results
 
     def run_match_batch(
@@ -271,36 +246,12 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List[List[bool]]:
-        """Execute one pattern over a whole batch of texts in one call.
-
-        The batch tier's device model: the farm streams many short texts
-        through the loaded pattern back to back, and the result streams
-        come out per text.  Values come from the vectorized
-        :func:`~repro.core.fastpath.fast_match_many` kernel; ``obs.deep``
-        re-checks the whole batch against the per-job fast path (results
-        are always the batched kernel's).
-        """
-        if not self.is_live or self.backend is None:
-            raise ServiceError(
-                f"worker {self.name!r} is not live ({self.state.value})"
-            )
-        pattern = list(pattern)
-        results = fast_match_many(pattern, texts, self.alphabet)
-        if obs is not None:
-            chars = sum(len(t) for t in texts)
-            span = obs.tracer.record(
-                "worker.batch", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, jobs=len(texts), chars=chars,
-                pattern_len=len(pattern), workload="match", engine="batched",
-            )
-            obs.registry.counter("worker.batches", worker=self.name).inc()
-            obs.registry.counter("worker.chars", worker=self.name).inc(chars)
-            if obs.deep:
-                fast = FastMatcher(pattern, self.alphabet)
-                span.attrs["fast_agrees"] = all(
-                    fast.match(t) == r for t, r in zip(texts, results)
-                )
-        return results
+        """Execute one pattern over a batch of texts: :meth:`run_kernel_batch`
+        with the registry's ``match`` workload."""
+        return self.run_kernel_batch(
+            MATCH, MATCH.parse_params(pattern, self.alphabet), texts,
+            obs=obs, parent=parent, t0=t0, t1=t1,
+        )
 
     def run_kernel_batch(
         self,
@@ -312,11 +263,13 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List[List]:
-        """Execute one Section 3.4 kernel over a batch of streams.
+        """Execute one Section 3.4 kernel over a whole batch of streams.
 
-        Uses the workload's vectorized ``batched`` kernel when it has
-        one, else loops the per-job fast kernel; ``obs.deep`` re-checks
-        every member against the workload's direct oracle.
+        The batch tier's device model: the farm streams many short inputs
+        through the loaded taps back to back, and the result streams come
+        out per input.  Uses the workload's vectorized ``batched`` kernel
+        when it has one, else loops the per-job fast kernel; ``obs.deep``
+        re-checks every member against the workload's direct oracle.
         """
         if not self.is_live or self.backend is None:
             raise ServiceError(
@@ -330,7 +283,7 @@ class PoolWorker:
             samples = sum(len(s) for s in streams)
             span = obs.tracer.record(
                 "worker.batch", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, jobs=len(streams), chars=samples,
+                worker=self.name, jobs=len(streams), samples=samples,
                 window=len(taps), workload=spec.name, engine="batched",
             )
             obs.registry.counter("worker.batches", worker=self.name).inc()

@@ -11,10 +11,10 @@ scheduler down:
   or handshake glitch) but completes correctly.  Only latency suffers.
 
 When retries are exhausted, the pool has no live workers, or admission
-hits backpressure, the job degrades to a *software* matcher from
-:mod:`repro.baselines` running on the host CPU -- slower by the paper's
-own host model, but still bit-identical to the oracle.  Degradation
-trades throughput for availability; it never trades correctness.
+hits backpressure, the job degrades to its workload's behavioral oracle
+running on the host CPU -- slower by the paper's own host model, but
+still identical to the oracle by definition.  Degradation trades
+throughput for availability; it never trades correctness.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..alphabet import PatternChar
-from ..baselines.shift_or import shift_or_match
 from ..errors import ServiceError
 from ..host.bus import HostSpec
 
@@ -240,31 +238,23 @@ class RetryPolicy:
 
 
 class SoftwareFallback:
-    """The host CPU running a Section 3.3 software baseline.
+    """The host CPU serving any registered workload in software.
 
-    Uses shift-or (the strongest streaming software baseline in
-    :mod:`repro.baselines`) for the answer and the host model's
-    per-character instruction cost for the time -- the same comparison
-    the paper's introduction draws, now serving as the farm's pressure
-    relief valve.
+    Evaluates the workload's direct oracle for the answer and charges
+    the host model's per-character software matching cost for the time
+    -- the same comparison the paper's introduction draws, now serving
+    as the pressure relief valve of both front doors.
     """
 
     def __init__(self, host: Optional[HostSpec] = None):
         self.host = host or HostSpec()
 
-    def match(
-        self, pattern: Sequence[PatternChar], text: Sequence[str]
-    ) -> List[bool]:
-        if len(text) == 0:
-            return []
-        return shift_or_match(list(pattern), list(text))
-
     def kernel(self, spec, taps: Sequence, stream: Sequence) -> List:
-        """Serve one Section 3.4 kernel shard from the host CPU.
+        """Serve one job or shard of any workload from the host CPU.
 
         Evaluates the workload's *direct oracle* definition -- the
-        behavioral ground truth -- so degraded kernel jobs keep the same
-        never-wrong guarantee as degraded match jobs.
+        behavioral ground truth -- on the prepared taps and (shard of
+        the) prepared stream, so a degraded job is never wrong.
         """
         if len(stream) == 0:
             return []

@@ -34,12 +34,12 @@ class SchedulerConfig:
     ``queue_capacity``: bound of each priority-class channel (CSP buffer
     size); submissions beyond it hit backpressure.
     ``max_retries``: attempts per execution before the job degrades to
-    the software fallback.
+    the host-oracle fallback.
     ``wide_text_threshold``: texts at least this long are sharded across
     idle workers when enough of them can hold the pattern.
     ``max_shards`` / ``min_shard_chars``: shard fan-out bounds.
     ``degrade_when_saturated``: on backpressure, run the job on the host
-    CPU (software baseline) instead of raising.
+    CPU (the workload's oracle) instead of raising.
     ``max_batch_jobs``: how many compatible ``submit_many`` jobs one
     batch plan may coalesce into a single worker execution; narrow texts
     sharing one pattern ride together up to this bound (wide texts keep

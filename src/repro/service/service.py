@@ -6,20 +6,20 @@ applies); ``drain`` runs the farm to completion: assign queued work to
 idle workers, advance the clock to the next completion, handle faults,
 repeat.  Every execution is beat-accounted (worker service time from the
 250 ns timing model, bus occupancy from the host memory model), and every
-result is produced by a verified matching engine -- chip, cascade,
-multipass, or the software fallback -- so service output is bit-identical
-to :func:`repro.core.reference.match_oracle` no matter how the job was
-routed, retried, or sharded.
+result is produced by a verified engine, so service output is identical
+to the workload's oracle no matter how the job was routed, retried, or
+sharded.
 
-Beyond matching, ``submit(workload=...)`` serves any kernel registered in
-:mod:`repro.workloads` -- match counting, correlation, convolution, FIR,
-sliding inner products (Section 3.4) -- through the *same* scheduler:
-windowed kernels shard across workers with halo overlap exactly like
-match jobs (one value per stream position, ``window - 1`` warm-up), and
-retry exhaustion degrades to the workload's behavioral oracle instead of
-the software matcher.  Whatever the routing, kernel results equal the
-direct oracle definition, property-tested under fault injection in
-``tests/test_workloads_service.py``.
+``submit(workload=...)`` serves any kernel registered in
+:mod:`repro.workloads` -- matching (the default), match counting,
+correlation, convolution, FIR, sliding inner products (Section 3.4) --
+down one path: the workload's ``parse_params``, ``validate_stream`` and
+``prepare`` at admission, its ``fast`` (or ``batched``) engine on a
+worker, halo-overlap shard merging with its ``incomplete`` filler, and
+its ``finalize`` at completion.  Retry exhaustion, saturation and
+deadlines degrade to the workload's ``oracle`` on the host CPU.  Results
+equal the direct oracle definition for every workload, property-tested
+under fault injection in ``tests/test_workloads_service.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..alphabet import PatternChar, parse_pattern
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
 from .cache import ResultCache, canonical_params, result_cache_key
@@ -40,36 +39,32 @@ from .sharding import (
     ShardMode,
     ShardPlan,
     TextShard,
-    merge_shard_results,
     merge_shard_values,
     plan_shards,
 )
 from .telemetry import ServiceTelemetry
-from ..workloads.registry import WorkloadSpec, get_workload
+from ..workloads.registry import MATCH, WorkloadSpec, get_workload
 
 
 @dataclass
 class MatchJob:
-    """One admitted query: a match by default, or any registered
-    Section 3.4 workload.
+    """One admitted query of any registered Section 3.4 workload.
 
-    For kernel workloads ``taps`` holds the *prepared* tap vector,
-    ``text`` the prepared stream (padded for convolution/FIR), and
-    ``orig_len`` the validated input-stream length that ``spec.finalize``
-    maps windowed results back onto; ``pattern`` stays empty."""
+    ``taps`` holds the *prepared* tap vector (the parsed pattern for
+    ``match`` and ``count``), ``text`` the prepared stream (padded for
+    convolution/FIR), and ``orig_len`` the validated input-stream length
+    that ``spec.finalize`` maps windowed results back onto."""
 
     job_id: int
     tenant: str
     priority: Priority
-    pattern: List[PatternChar]
+    spec: WorkloadSpec
+    taps: list
     text: List
+    orig_len: int
     submitted_beat: float
     attempts: int = 0  # failed executions so far (drives the retry policy)
     span: Optional[object] = None  # open service.job span (obs attached)
-    workload: str = "match"
-    taps: Optional[list] = None
-    orig_len: int = 0
-    spec: Optional[WorkloadSpec] = None
     deadline: Optional[float] = None  # absolute beat; None = no SLO
     #: Cross-tenant result-cache identity (also the submit_many dedup
     #: key): canonical workload + params + content digest of the
@@ -77,9 +72,13 @@ class MatchJob:
     cache_key: Optional[tuple] = None
 
     @property
+    def workload(self) -> str:
+        return self.spec.name
+
+    @property
     def window_len(self) -> int:
-        """Cells the job needs: the sliding-window width (pattern or taps)."""
-        return len(self.taps) if self.taps is not None else len(self.pattern)
+        """Cells the job needs: the sliding-window width."""
+        return len(self.taps)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class JobResult:
     workers: Tuple[str, ...]
     attempts: int
     via_fallback: bool
-    workload: str = "match"
+    workload: str = MATCH.name
     timed_out: bool = False
 
     @property
@@ -242,7 +241,7 @@ class MatcherService:
         text: Sequence,
         tenant: str = "default",
         priority: Priority = Priority.BATCH,
-        workload: str = "match",
+        workload: str = MATCH.name,
         timeout: Optional[float] = None,
     ) -> int:
         """Admit one query; returns its job id.
@@ -255,9 +254,9 @@ class MatcherService:
 
         Raises :class:`BackpressureError` when the priority class's
         bounded queue is full and ``degrade_when_saturated`` is off;
-        otherwise a saturated submission runs on the host CPU's software
-        matcher (or the workload's behavioral oracle) immediately
-        (slower, never wrong).
+        otherwise a saturated submission runs on the host CPU's
+        behavioral oracle for the workload immediately (slower, never
+        wrong).
 
         *timeout* (beats) is the job's SLO: any shard launch whose
         projected finish would land past ``submitted + timeout`` is not
@@ -268,56 +267,17 @@ class MatcherService:
         """
         if timeout is not None and timeout <= 0:
             raise ServiceError("timeout must be a positive number of beats")
-        if workload == "match":
-            parsed = self._parse(pattern)
-            chars = self.pool.alphabet.validate_text(text)
-            job = MatchJob(
-                job_id=self._next_id,
-                tenant=tenant,
-                priority=priority,
-                pattern=parsed,
-                text=chars,
-                submitted_beat=self.clock.now,
-            )
-            empty = not chars
-            key_taps, key_stream, key_numeric = parsed, chars, False
-        else:
-            spec = get_workload(workload)
-            taps = spec.parse_params(pattern, self.pool.alphabet)
-            validated = spec.validate_stream(text, self.pool.alphabet)
-            ktaps, feed = spec.prepare(taps, validated)
-            job = MatchJob(
-                job_id=self._next_id,
-                tenant=tenant,
-                priority=priority,
-                pattern=[],
-                text=feed,
-                submitted_beat=self.clock.now,
-                workload=workload,
-                taps=ktaps,
-                orig_len=len(validated),
-                spec=spec,
-            )
-            empty = not validated
-            key_taps, key_stream, key_numeric = taps, validated, spec.numeric
-        if timeout is not None:
-            job.deadline = job.submitted_beat + timeout
-        self._next_id += 1
-        self.telemetry.submitted += 1
-        if self.obs is not None:
-            # Jobs overlap in simulated time, so their spans cannot nest on
-            # the tracer stack: open/close explicitly, keyed off the job.
-            job.span = self.obs.tracer.open_span(
-                "service.job", t0=self.clock.now, unit="beats",
-                job_id=job.job_id, tenant=tenant, priority=priority.name,
-                workload=workload,
-            )
-        if empty:
+        spec = get_workload(workload)
+        taps = spec.parse_params(pattern, self.pool.alphabet)
+        job, validated = self._admit(
+            spec, taps, text, tenant, priority, timeout
+        )
+        if not validated:
             self._complete_empty(job)
             return job.job_id
         if self.cache is not None:
             job.cache_key = result_cache_key(
-                workload, key_taps, key_stream, key_numeric
+                workload, taps, validated, spec.numeric
             )
             hit = self.cache.get(
                 job.cache_key, tenant=tenant, now=self.clock.now
@@ -337,8 +297,46 @@ class MatcherService:
                         job.span, t1=self.clock.now, rejected=True
                     )
                 raise
-            self._complete_software(job)
+            self._complete_member_software(job)
         return job.job_id
+
+    def _admit(
+        self,
+        spec: WorkloadSpec,
+        taps: list,
+        text: Sequence,
+        tenant: str,
+        priority: Priority,
+        timeout: Optional[float],
+    ) -> Tuple[MatchJob, list]:
+        """Validate and prepare one stream into a new job (id, telemetry,
+        open ``service.job`` span); returns it with the validated input."""
+        validated = spec.validate_stream(text, self.pool.alphabet)
+        ktaps, feed = spec.prepare(taps, validated)
+        now = self.clock.now
+        job = MatchJob(
+            job_id=self._next_id,
+            tenant=tenant,
+            priority=priority,
+            spec=spec,
+            taps=ktaps,
+            text=feed,
+            orig_len=len(validated),
+            submitted_beat=now,
+        )
+        if timeout is not None:
+            job.deadline = now + timeout
+        self._next_id += 1
+        self.telemetry.submitted += 1
+        if self.obs is not None:
+            # Jobs overlap in simulated time, so their spans cannot nest on
+            # the tracer stack: open/close explicitly, keyed off the job.
+            job.span = self.obs.tracer.open_span(
+                "service.job", t0=now, unit="beats",
+                job_id=job.job_id, tenant=tenant, priority=priority.name,
+                workload=spec.name,
+            )
+        return job, validated
 
     def _note_queue_depth(self, priority: Priority) -> None:
         if self.obs is not None:
@@ -354,7 +352,7 @@ class MatcherService:
         texts: Sequence[Sequence],
         tenant: str = "default",
         priority: Priority = Priority.BATCH,
-        workload: str = "match",
+        workload: str = MATCH.name,
         timeout: Optional[float] = None,
     ) -> List[int]:
         """Admit one job per text in *texts*, coalesced into batch plans.
@@ -379,72 +377,35 @@ class MatcherService:
 
         Backpressure applies per queue entry (one batch plan is one
         entry): with ``degrade_when_saturated`` the overflowing plan is
-        served by the software baseline; otherwise the overflowing plan
+        served by the host oracle; otherwise the overflowing plan
         and every not-yet-admitted job after it is rejected and
         :class:`BackpressureError` raised (already-admitted jobs stay
         admitted).
         """
         if timeout is not None and timeout <= 0:
             raise ServiceError("timeout must be a positive number of beats")
-        if workload == "match":
-            parsed = self._parse(pattern)
-            spec = None
-            numeric = False
-        else:
-            spec = get_workload(workload)
-            parsed = spec.parse_params(pattern, self.pool.alphabet)
-            numeric = spec.numeric
-        now = self.clock.now
+        spec = get_workload(workload)
+        parsed = spec.parse_params(pattern, self.pool.alphabet)
         job_ids: List[int] = []
         reps: Dict[tuple, MatchJob] = {}
         batchable: List[MatchJob] = []
         units: List[object] = []  # wide-text singleton jobs + batch plans
         params = canonical_params(parsed)
         for text in texts:
-            if workload == "match":
-                validated = self.pool.alphabet.validate_text(text)
-                job = MatchJob(
-                    job_id=self._next_id,
-                    tenant=tenant,
-                    priority=priority,
-                    pattern=parsed,
-                    text=validated,
-                    submitted_beat=now,
-                )
-            else:
-                validated = spec.validate_stream(text, self.pool.alphabet)
-                ktaps, feed = spec.prepare(parsed, validated)
-                job = MatchJob(
-                    job_id=self._next_id,
-                    tenant=tenant,
-                    priority=priority,
-                    pattern=[],
-                    text=feed,
-                    submitted_beat=now,
-                    workload=workload,
-                    taps=ktaps,
-                    orig_len=len(validated),
-                    spec=spec,
-                )
-            if timeout is not None:
-                job.deadline = now + timeout
-            self._next_id += 1
-            self.telemetry.submitted += 1
+            job, validated = self._admit(
+                spec, parsed, text, tenant, priority, timeout
+            )
             job_ids.append(job.job_id)
-            if self.obs is not None:
-                job.span = self.obs.tracer.open_span(
-                    "service.job", t0=now, unit="beats",
-                    job_id=job.job_id, tenant=tenant,
-                    priority=priority.name, workload=workload,
-                )
             if not validated:
                 self._complete_empty(job)
                 continue
             job.cache_key = result_cache_key(
-                workload, parsed, validated, numeric, params=params
+                workload, parsed, validated, spec.numeric, params=params
             )
             if self.cache is not None:
-                hit = self.cache.get(job.cache_key, tenant=tenant, now=now)
+                hit = self.cache.get(
+                    job.cache_key, tenant=tenant, now=self.clock.now
+                )
                 if hit is not None:
                     self._complete_cached(job, hit)
                     continue
@@ -496,13 +457,6 @@ class MatcherService:
             job.span = None
         for follower in self._followers.pop(job.job_id, []):
             self._reject(follower)
-
-    def _parse(self, pattern) -> List[PatternChar]:
-        if pattern and not isinstance(pattern, str) and all(
-            isinstance(pc, PatternChar) for pc in pattern
-        ):
-            return list(pattern)
-        return parse_pattern(pattern, self.pool.alphabet)
 
     # -- draining ----------------------------------------------------------
 
@@ -688,17 +642,11 @@ class MatcherService:
         if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
             stats.stuck_events += 1
             self.telemetry.stuck_events += 1
-        feed = shard.feed(job.text)
-        if job.workload == "match":
-            results = worker.run_match(
-                job.pattern, feed, obs=self.obs, parent=exec_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
-        else:
-            results = worker.run_kernel(
-                job.spec, job.taps, feed, obs=self.obs, parent=exec_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
+        results = worker.run_kernel(
+            job.spec, job.taps, shard.feed(job.text), obs=self.obs,
+            parent=exec_span, t0=execution.start_beat,
+            t1=execution.finish_beat,
+        )
         state.shard_results[shard.index] = results
         state.shard_finish[shard.index] = execution.finish_beat
         state.service_beats += execution.finish_beat - execution.start_beat
@@ -709,13 +657,10 @@ class MatcherService:
 
     def _shard_software(self, state: _JobState, shard: TextShard) -> None:
         """Retries exhausted (or no live workers): the host CPU finishes
-        this shard with the software baseline."""
+        this shard with the workload's oracle."""
         job = state.job
         feed = shard.feed(job.text)
-        if job.workload == "match":
-            results = self.fallback.match(job.pattern, feed)
-        else:
-            results = self.fallback.kernel(job.spec, job.taps, feed)
+        results = self.fallback.kernel(job.spec, job.taps, feed)
         beats = self.fallback.beats(job.window_len, len(feed), self.beat_ns)
         finish = self.clock.now + beats
         if self.obs is not None:
@@ -737,18 +682,12 @@ class MatcherService:
         job, plan = state.job, state.plan
         if plan.mode is ShardMode.TEXT_SHARDED:
             ordered = [state.shard_results[s.index] for s in plan.shards]
-            if job.workload == "match":
-                results = merge_shard_results(
-                    plan.shards, ordered, len(job.text)
-                )
-            else:
-                results = merge_shard_values(
-                    plan.shards, ordered, len(job.text), job.spec.incomplete
-                )
+            merged = merge_shard_values(
+                plan.shards, ordered, len(job.text), job.spec.incomplete
+            )
         else:
-            results = state.shard_results[0]
-        if job.workload != "match":
-            results = job.spec.finalize(job.taps, job.orig_len, results)
+            merged = state.shard_results[0]
+        results = job.spec.finalize(job.taps, job.orig_len, merged)
         finished = max(state.shard_finish.values())
         started = state.started_beat if state.started_beat is not None else finished
         mode = "software" if state.via_fallback and not state.workers_used \
@@ -796,43 +735,6 @@ class MatcherService:
             job,
         )
 
-    def _complete_software(self, job: MatchJob) -> None:
-        """Saturation path: serve immediately from the host CPU."""
-        if job.workload == "match":
-            results = self.fallback.match(job.pattern, job.text)
-        else:
-            merged = self.fallback.kernel(job.spec, job.taps, job.text)
-            results = job.spec.finalize(job.taps, job.orig_len, merged)
-        beats = self.fallback.beats(
-            job.window_len, len(job.text), self.beat_ns
-        )
-        now = self.clock.now
-        self.telemetry.fallbacks += 1
-        if self.obs is not None:
-            self.obs.tracer.record(
-                "service.software_fallback", t0=now, t1=now + beats,
-                unit="beats", parent=job.span, chars=len(job.text),
-            )
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=now,
-                started_beat=now,
-                finished_beat=now + beats,
-                wait_beats=0.0,
-                service_beats=beats,
-                mode="software",
-                workers=(),
-                attempts=job.attempts,
-                via_fallback=True,
-                workload=job.workload,
-            ),
-            job,
-        )
-
     def _complete_cached(self, job: MatchJob, results: List) -> None:
         """Cache hit: the canonical answer is already known -- no queue,
         no worker, no bus, zero service beats."""
@@ -860,14 +762,11 @@ class MatcherService:
     def _complete_member_software(
         self, job: MatchJob, timed_out: bool = False
     ) -> None:
-        """Serve one batch member from the host CPU (deadline shed,
-        batch retry exhaustion, or saturation degrade), preserving its
-        original submission beat for latency accounting."""
-        if job.workload == "match":
-            results = self.fallback.match(job.pattern, job.text)
-        else:
-            merged = self.fallback.kernel(job.spec, job.taps, job.text)
-            results = job.spec.finalize(job.taps, job.orig_len, merged)
+        """Serve one whole job from the host CPU (saturation degrade,
+        deadline shed, retry exhaustion, or an exhausted pool),
+        preserving its original submission beat for latency accounting."""
+        merged = self.fallback.kernel(job.spec, job.taps, job.text)
+        results = job.spec.finalize(job.taps, job.orig_len, merged)
         beats = self.fallback.beats(job.window_len, len(job.text), self.beat_ns)
         now = self.clock.now
         self.telemetry.fallbacks += 1
@@ -1002,18 +901,11 @@ class MatcherService:
             stats.stuck_events += 1
             self.telemetry.stuck_events += 1
         jobs = state.jobs
-        if batch.workload == "match":
-            results_many = worker.run_match_batch(
-                jobs[0].pattern, [j.text for j in jobs],
-                obs=self.obs, parent=batch_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
-        else:
-            results_many = worker.run_kernel_batch(
-                jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
-                obs=self.obs, parent=batch_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
+        results_many = worker.run_kernel_batch(
+            jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
+            obs=self.obs, parent=batch_span,
+            t0=execution.start_beat, t1=execution.finish_beat,
+        )
         self.telemetry.batches += 1
         started = (
             state.started_beat if state.started_beat is not None
@@ -1021,17 +913,15 @@ class MatcherService:
         )
         plen = batch.window_len
         for job, merged in zip(jobs, results_many):
-            if batch.workload == "match":
-                results = merged
-            else:
-                results = job.spec.finalize(job.taps, job.orig_len, merged)
             self.telemetry.batched_jobs += 1
             self._record(
                 JobResult(
                     job_id=job.job_id,
                     tenant=job.tenant,
                     priority=job.priority,
-                    results=results,
+                    results=job.spec.finalize(
+                        job.taps, job.orig_len, merged
+                    ),
                     submitted_beat=job.submitted_beat,
                     started_beat=started,
                     finished_beat=execution.finish_beat,
@@ -1062,11 +952,9 @@ class MatcherService:
             unit = self.queues.pop()
             if unit is None:
                 break
-            if isinstance(unit, _BatchJob):
-                for job in unit.jobs:
-                    self._complete_member_software(job)
-            else:
-                self._complete_software(unit)
+            members = unit.jobs if isinstance(unit, _BatchJob) else [unit]
+            for job in members:
+                self._complete_member_software(job)
 
     # -- accounting --------------------------------------------------------
 

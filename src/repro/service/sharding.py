@@ -4,7 +4,7 @@ Two independent axes, both straight from Section 3.4:
 
 * A pattern longer than a worker's cell count runs the *multipass*
   scheme on that worker (handled inside
-  :meth:`~repro.service.pool.PoolWorker.run_match`); the plan records it
+  :meth:`~repro.service.pool.PoolWorker.run_kernel`); the plan records it
   so telemetry and timing use multipass rates.
 * A text much longer than a pattern can be cut into chunks and matched
   on several workers at once.  Each chunk overlaps its left neighbour by
@@ -13,7 +13,7 @@ Two independent axes, both straight from Section 3.4:
   like the substring bookkeeping of the multipass derivation.
 
 The merge reassembles per-shard result streams into the single oracle
-stream through :class:`repro.streams.ResultStream`.
+stream, for every workload alike.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from enum import Enum
 from typing import List, Sequence
 
 from ..errors import ServiceError
-from ..streams import ResultStream
 
 
 class ShardMode(Enum):
@@ -163,17 +162,3 @@ def merge_shard_values(
         raise ServiceError(f"no shard owns text position {missing}")
     return out
 
-
-def merge_shard_results(
-    shards: Sequence[TextShard],
-    shard_results: Sequence[Sequence[bool]],
-    text_len: int,
-) -> List[bool]:
-    """Boolean-matching specialization of :func:`merge_shard_values`,
-    funnelled through :class:`repro.streams.ResultStream` like the
-    hardware result pin."""
-    merged = merge_shard_values(shards, shard_results, text_len, False)
-    stream = ResultStream()
-    for bit in merged:
-        stream.record_result(bool(bit))
-    return stream.results

@@ -59,7 +59,7 @@ class TestSpanChain:
         # Innermost parent first: the gate-level run, the worker match,
         # the shard execution, then the job itself.
         assert names == [
-            "gate.match", "worker.match", "service.execution", "service.job"
+            "gate.match", "worker.kernel", "service.execution", "service.job"
         ]
 
     def test_array_level_spans_nest_under_worker(self, traced_run):
@@ -67,12 +67,12 @@ class TestSpanChain:
         runs = obs.tracer.find("array.run")
         assert runs
         names = [s.name for s in obs.tracer.ancestry(runs[0])]
-        assert names[:2] == ["chip.report", "worker.match"]
+        assert names[:2] == ["chip.report", "worker.kernel"]
         assert names[-1] == "service.job"
 
     def test_cross_level_agreement_attrs(self, traced_run):
         obs, _, _ = traced_run
-        wm = obs.tracer.find("worker.match")[0]
+        wm = obs.tracer.find("worker.kernel")[0]
         assert wm.attrs["array_agrees"] is True
         assert wm.attrs["circuit_agrees"] is True
         assert wm.attrs["engine"] == "fastpath"
@@ -81,7 +81,9 @@ class TestSpanChain:
         obs, svc, _ = traced_run
         r = obs.registry
         assert r.value("service.jobs.completed") == 1
-        assert r.value("worker.matches", worker="chip-0") == 1
+        assert r.value(
+            "worker.kernels", worker="chip-0", workload="match"
+        ) == 1
         # Array beats from the deep re-drive, labelled by chip name.
         assert r.value("array.beats", array=svc.pool.workers[0].backend.spec.name) > 0
         assert r.value("circuit.settle.calls", circuit="chip") > 0
@@ -107,6 +109,22 @@ class TestExportReplay:
         # Rendered report is printable text.
         out = render_report(report)
         assert "jobs" in out and "chip-0" in out
+
+    def test_worker_executions_match_telemetry_on_mixed_workloads(self):
+        obs = Observability()
+        svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB), obs=obs)
+        svc.submit([1.0, -1.0], [float(v % 4) for v in range(30)],
+                   workload="fir")
+        svc.submit("AXB", "ABCDABAB" * 3, workload="count")
+        svc.submit_many("AB", ["ABCA", "BBAB", "DABC"])
+        svc.submit("CA", "ABCABCA")
+        svc.drain()
+        workers = trace_report(obs.export())["workers"]
+        telemetry = svc.telemetry.workers
+        assert sum(ws.executions for ws in telemetry.values()) == 4
+        assert set(workers) == set(telemetry)
+        for name, ws in telemetry.items():
+            assert workers[name]["executions"] == ws.executions
 
     def test_tracer_round_trip_preserves_ancestry(self, traced_run):
         obs, _, _ = traced_run

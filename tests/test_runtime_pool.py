@@ -188,11 +188,16 @@ class TestWorkerPool:
                     done.set()
 
         base = time.monotonic()
-        # Saturate both workers so the next three queue up.
+        # Saturate both workers so the next four queue up.  The second
+        # hold outlasts the first by far, so one worker frees up and
+        # drains the whole queue alone: reply order is dispatch order.
         hold, hold_wait = _collect(2)
         pool.submit(_match_request(10, stall_s=0.3), hold)
-        pool.submit(_match_request(11, stall_s=0.3), hold)
-        time.sleep(0.05)  # let both dispatch
+        pool.submit(_match_request(11, stall_s=1.5), hold)
+        limit = time.monotonic() + 10.0
+        while pool.n_idle or pool.n_pending:  # wait for both to dispatch
+            assert time.monotonic() < limit, "holds never dispatched"
+            time.sleep(0.001)
         pool.submit(_match_request(20), cb, deadline=base + 30.0)
         pool.submit(_match_request(21), cb, deadline=base + 10.0)
         pool.submit(_match_request(22), cb, deadline=base + 20.0)

@@ -24,7 +24,7 @@ from repro.service import (
     SoftwareFallback,
     WorkerState,
     cascade_pool,
-    merge_shard_results,
+    merge_shard_values,
     plan_shards,
     pool_from_wafers,
     uniform_pool,
@@ -32,6 +32,7 @@ from repro.service import (
 from repro.service.scheduler import BeatClock
 from repro.timing.model import TimingModel
 from repro.wafer.wafer import Wafer
+from repro.workloads import get_workload
 
 AB = Alphabet("ABCD")
 
@@ -210,16 +211,16 @@ class TestSharding:
             match_oracle(pattern, list(shard.feed(text)))
             for shard in plan.shards
         ]
-        merged = merge_shard_results(plan.shards, per_shard, len(text))
+        merged = merge_shard_values(plan.shards, per_shard, len(text), False)
         assert merged == match_oracle(pattern, list(text))
 
     def test_merge_rejects_inconsistent_streams(self):
         plan = plan_shards(3, 200, 2, min_shard_chars=16)
         with pytest.raises(ServiceError):
-            merge_shard_results(plan.shards, [[False]], 200)
+            merge_shard_values(plan.shards, [[False]], 200, False)
         bad = [[False] * plan.shards[0].n_fed, [False]]
         with pytest.raises(ServiceError):
-            merge_shard_results(plan.shards, bad, 200)
+            merge_shard_values(plan.shards, bad, 200, False)
 
 
 # -- reliability -------------------------------------------------------------
@@ -246,7 +247,8 @@ class TestReliability:
         fb = SoftwareFallback(HostSpec())
         pattern = parse_pattern("AXCA", AB)
         text = list("ABCAACACCABACA")
-        assert fb.match(pattern, text) == match_oracle(pattern, text)
+        got = fb.kernel(get_workload("match"), pattern, text)
+        assert got == match_oracle(pattern, text)
         beats = fb.beats(4, 100, 250.0)
         assert beats * 250.0 == HostSpec().software_match_time_ns(100, 4)
 
@@ -381,6 +383,25 @@ class TestMatcherService:
         jid = svc.submit("AXB", "ABABAB")
         r = svc.drain()[jid]
         assert r.via_fallback and r.results == oracle("AXB", "ABABAB")
+
+    def test_pool_exhaustion_keeps_queued_jobs_submission_beats(self):
+        # The only worker dies mid-job; the queued singleton and the
+        # queued batch members are then served from the host CPU alike,
+        # each still reporting the beat it was submitted at.
+        faults = ScriptedInjector([Fault(FaultKind.WORKER_DEATH, at_fraction=0.5)])
+        svc = MatcherService(uniform_pool(1, ChipSpec(8, 2), AB), faults=faults)
+        svc.submit("AB", "ABAB" * 10)
+        svc.submit("BA", "ABAB" * 10)
+        svc.submit_many("AB", ["ABCA", "BBBB"])
+        results = svc.drain()
+        assert svc.pool.n_live == 0
+        queued = results[1:]
+        assert [r.mode for r in queued] == ["software"] * 3
+        for r in queued:
+            assert r.submitted_beat == 0.0
+            assert r.started_beat > 0.0
+            assert r.wait_beats == r.started_beat - r.submitted_beat
+        assert queued[0].results == oracle("BA", "ABAB" * 10)
 
     def test_degraded_worker_still_correct(self):
         wafer = Wafer(2, 4)

@@ -30,7 +30,7 @@ from repro.workloads import get_workload, list_workloads
 
 AB = Alphabet("ABCD")
 
-KERNELS = ["count", "correlation", "inner-product", "convolution", "fir"]
+KERNELS = list_workloads()
 
 int_floats = st.integers(-6, 6).map(float)
 
