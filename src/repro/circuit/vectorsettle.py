@@ -29,24 +29,17 @@ Differential tests (``tests/test_circuit_vector_settle.py``) hold every
 instance's node values, strengths and refresh clocks bit-identical to a
 per-instance reference settle across random netlists, stimuli, charge
 decay and VDD-GND shorts.
-
-Without numpy the class degrades to a thin loop over per-instance
-:func:`settle_reference` calls -- same results, none of the speed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from ..errors import ChargeDecayError, CircuitError
 from .netlist import GND, VDD, Circuit
 from .signals import HIGH, LOW, LogicValue, Strength
-from .simulator import settle_reference
-
-try:  # pragma: no cover - exercised through both branches in CI images
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["VectorizedCircuits"]
 
@@ -107,9 +100,6 @@ class VectorizedCircuits:
             raise CircuitError("VectorizedCircuits needs at least one instance")
         _check_same_topology(circuits)
         self.circuits = list(circuits)
-        self._vector = _np is not None
-        if not self._vector:
-            return  # degrade: every method loops over self.circuits
         proto = self.circuits[0]
         names = list(proto.nodes)
         self.names = names
@@ -118,26 +108,26 @@ class VectorizedCircuits:
         self._B, self._N = B, N
         self._vdd = self._iid[VDD]
         self._gnd = self._iid[GND]
-        self._gates = _np.array(
-            [self._iid[t.gate] for t in proto.transistors], dtype=_np.int64
+        self._gates = np.array(
+            [self._iid[t.gate] for t in proto.transistors], dtype=np.int64
         )
-        self._ea = _np.array(
-            [self._iid[t.a] for t in proto.transistors], dtype=_np.int64
+        self._ea = np.array(
+            [self._iid[t.a] for t in proto.transistors], dtype=np.int64
         )
-        self._eb = _np.array(
-            [self._iid[t.b] for t in proto.transistors], dtype=_np.int64
+        self._eb = np.array(
+            [self._iid[t.b] for t in proto.transistors], dtype=np.int64
         )
-        self._load_ids = _np.array(
-            sorted({self._iid[d.node] for d in proto.loads}), dtype=_np.int64
+        self._load_ids = np.array(
+            sorted({self._iid[d.node] for d in proto.loads}), dtype=np.int64
         )
         self.retention_ns = proto.retention_ns
         # Per-instance state planes.
-        self._values = _np.empty((B, N), dtype=_np.int8)
-        self._strengths = _np.empty((B, N), dtype=_np.int8)
-        self._refresh = _np.empty((B, N), dtype=_np.float64)
-        self._pin_mask = _np.zeros((B, N), dtype=bool)
-        self._pin_vals = _np.zeros((B, N), dtype=_np.int8)
-        self._now = _np.empty(B, dtype=_np.float64)
+        self._values = np.empty((B, N), dtype=np.int8)
+        self._strengths = np.empty((B, N), dtype=np.int8)
+        self._refresh = np.empty((B, N), dtype=np.float64)
+        self._pin_mask = np.zeros((B, N), dtype=bool)
+        self._pin_vals = np.zeros((B, N), dtype=np.int8)
+        self._now = np.empty(B, dtype=np.float64)
         for i, c in enumerate(self.circuits):
             for j, n in enumerate(names):
                 node = c.nodes[n]
@@ -157,14 +147,6 @@ class VectorizedCircuits:
     def set_input(self, name: str, value) -> None:
         """Pin *name* in every instance: one value broadcast to all, or a
         per-instance sequence."""
-        if not self._vector:
-            if isinstance(value, (list, tuple)):
-                for c, v in zip(self.circuits, value):
-                    c.set_input(name, v)
-            else:
-                for c in self.circuits:
-                    c.set_input(name, value)
-            return
         if name not in self._iid:
             raise CircuitError(f"no node named {name!r}")
         i = self._iid[name]
@@ -182,10 +164,6 @@ class VectorizedCircuits:
 
     def release_input(self, name: str) -> None:
         """Stop forcing *name* everywhere; charge is retained per node."""
-        if not self._vector:
-            for c in self.circuits:
-                c.release_input(name)
-            return
         if name not in self._iid:
             raise CircuitError(f"no node named {name!r}")
         self._pin_mask[:, self._iid[name]] = False
@@ -194,18 +172,12 @@ class VectorizedCircuits:
         """Advance every instance's simulated time."""
         if dt_ns < 0:
             raise CircuitError("time cannot run backwards")
-        if not self._vector:
-            for c in self.circuits:
-                c.advance_time(dt_ns)
-            return
         self._now += dt_ns
 
     # -- reading -----------------------------------------------------------
 
     def read(self, name: str) -> List[LogicValue]:
         """The solved value of *name* in every instance."""
-        if not self._vector:
-            return [c.read(name) for c in self.circuits]
         try:
             i = self._iid[name]
         except KeyError:
@@ -230,17 +202,12 @@ class VectorizedCircuits:
         """Relax every instance to a fixed point; returns per-instance
         pass counts (each equal to what ``settle_reference`` on that
         instance alone would report)."""
-        if not self._vector:
-            return [
-                settle_reference(c, max_iterations, strict_decay=strict_decay)
-                for c in self.circuits
-            ]
         B = self._B
         iters = [0] * B
-        active = _np.arange(B)
+        active = np.arange(B)
         for iteration in range(max_iterations):
             changed = self._pass(active, strict_decay)
-            for k in _np.flatnonzero(~changed):
+            for k in np.flatnonzero(~changed):
                 iters[int(active[k])] = iteration + 1
             active = active[changed]
             if active.size == 0:
@@ -258,7 +225,6 @@ class VectorizedCircuits:
         value change.  Mirrors ``simulator._reference_pass`` step for
         step; comments there are the specification.
         """
-        np = _np
         N = self._N
         values = self._values[active]
         strengths = self._strengths[active]
@@ -412,8 +378,6 @@ class VectorizedCircuits:
         (values, strengths, refresh clocks, pins, time), so per-instance
         tooling can resume; each instance's event engine is dropped
         because its state was rewritten behind its back."""
-        if not self._vector:
-            return
         for i, c in enumerate(self.circuits):
             for j, n in enumerate(self.names):
                 node = c.nodes[n]
@@ -422,7 +386,7 @@ class VectorizedCircuits:
                 node.last_refresh = float(self._refresh[i, j])
             c.inputs = {
                 self.names[int(j)]: LogicValue(int(self._pin_vals[i, j]))
-                for j in _np.flatnonzero(self._pin_mask[i])
+                for j in np.flatnonzero(self._pin_mask[i])
             }
             c.time_ns = float(self._now[i])
             c._event_engine = None

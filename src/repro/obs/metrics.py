@@ -90,6 +90,10 @@ class Gauge:
 #: alike without tuning.
 DEFAULT_BUCKETS = tuple(float(2 ** k) for k in range(0, 24, 2))
 
+#: Wall-second histogram buckets: powers of two from ~31 us to 16 s, so
+#: sub-millisecond and sub-second latencies land in distinct buckets.
+SECONDS_BUCKETS = tuple(2.0 ** k for k in range(-15, 5))
+
 
 class Histogram:
     """Fixed-bucket distribution: counts per upper bound, plus sum/count."""

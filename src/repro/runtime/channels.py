@@ -90,53 +90,54 @@ class Channel:
 
 @dataclass
 class JobRequest:
-    """One execution order sent to a worker process.
+    """One execution order sent to a worker process: a *plan*.
 
-    ``taps`` and ``stream`` are already *prepared* by the host (the
-    workload's ``parse_params``/``validate_stream``/``prepare`` ran
-    before admission), so the worker only evaluates the windowed kernel
-    -- the same division of labour as the synchronous farm's
-    :meth:`~repro.service.pool.PoolWorker.run_kernel`.
+    A plan is one taps vector and one or more prepared streams (one
+    per member job), answered by the workload's batched kernel in a
+    single crossing; ``job_id`` is the plan's wire id, its first
+    member's job id.  ``taps`` and ``streams`` are already *prepared*
+    by the host (the workload's ``parse_params``/``validate_stream``/
+    ``prepare`` ran before admission), so the worker only evaluates
+    the windowed kernel -- the same division of labour as the
+    synchronous farm's
+    :meth:`~repro.service.pool.PoolWorker.run_kernel_batch`.
 
     ``fault``/``stall_s`` carry host-side seeded fault injection across
     the process boundary: ``"death"`` makes the worker report the chip
-    dying mid-job (no results come back), a positive ``stall_s`` makes
-    it sit on the job (a stuck/hung worker) before answering.  Faults
+    dying mid-plan (no results come back), a positive ``stall_s`` makes
+    it sit on the plan (a stuck/hung worker) before answering.  Faults
     are directives, not randomness, so runs stay deterministic per seed.
 
     ``bist`` turns the request into a *self-test probe* instead of a
-    kernel execution: the dict carries the BIST geometry (``m``, ``w``,
-    ``vectors``, ``seed``, ``characterize``) plus an optional wire-form
+    kernel execution (``streams`` is then empty): the dict carries the
+    BIST geometry (``m``, ``w``, ``vectors``, ``seed``,
+    ``characterize``) plus an optional wire-form
     :class:`~repro.service.reliability.CellDefect` under ``"defect"``
     (the worker's latent fault, crossing the spawn boundary as a plain
     dict).  The worker runs :class:`~repro.bist.BISTController`
     in-process and answers with the report on ``JobReply.bist``.
-
-    When ``streams`` is set the request is a *batch plan*: one taps
-    vector, many prepared streams, answered by the workload's batched
-    kernel in a single crossing (``stream`` is ignored).  ``job_id`` is
-    then the batch id and the reply comes back in ``results_many``,
-    one window-space row list per stream, in order.
     """
 
     job_id: int
     attempt: int
     workload: str
     taps: list
-    stream: object  # list, or a compact str for character workloads
+    streams: list  # lists, or compact strs for character workloads
     collect_obs: bool = False
     fault: Optional[str] = None
     stall_s: float = 0.0
-    streams: Optional[list] = None  # batch plan: many streams, one taps
     bist: Optional[dict] = None  # self-test probe: geometry + wire defect
 
 
 @dataclass
 class JobReply:
-    """A worker's answer: window-space results plus its observations.
+    """A worker's answer to one plan: window-space results plus its
+    observations.
 
-    ``metrics`` is the worker-local registry snapshot and ``spans`` the
-    worker-local span dump; the host folds them into the run's
+    ``results_many`` holds one window-space row list per stream of the
+    request, in order (``None`` when the plan failed).  ``metrics`` is
+    the worker-local registry snapshot and ``spans`` the worker-local
+    span dump; the host folds them into the run's
     :class:`~repro.obs.Observability` via ``merge_snapshot``/``adopt``.
     """
 
@@ -146,10 +147,9 @@ class JobReply:
     worker: str
     pid: int
     wall_s: float
-    results: Optional[list] = None
+    results_many: Optional[list] = None
     error: Optional[str] = None
     died: bool = False
     metrics: Optional[Dict[str, List[dict]]] = None
     spans: Optional[List[dict]] = field(default=None)
-    results_many: Optional[list] = None  # batch plan answer, stream order
     bist: Optional[dict] = None  # self-test probe answer (report to_wire)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional
 
-from ..errors import ProvisionError
+from ..errors import ChipError, ProvisionError
 from ..service.health import HealthConfig, HealthEvent
 from ..service.reliability import CellDefect, FaultInjector
 from ..wafer.provision import WaferSupply
@@ -92,7 +92,7 @@ class RuntimeHealth:
             attempt=0,
             workload="bist",
             taps=[],
-            stream=[],
+            streams=[],
             bist={
                 "m": cfg.bist_m,
                 "w": cfg.bist_w,
@@ -165,9 +165,7 @@ class RuntimeHealth:
             wafer = self.supply.draw()  # ProvisionError when exhausted
             try:
                 harvest = harvest_linear_array(wafer)
-            except ProvisionError:
-                raise
-            except Exception:
+            except ChipError:
                 continue  # unharvestable wafer: draw the next one
             if harvest.n_cells >= cfg.min_capacity:
                 return harvest.n_cells

@@ -39,6 +39,7 @@ from typing import AsyncIterator, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..alphabet import Alphabet
 from ..errors import BackpressureError, ServiceError
 from ..service.cache import ResultCache, canonical_params, result_cache_key
+from ..service.planner import coalesce
 from ..service.reliability import (
     FaultInjector,
     FaultKind,
@@ -130,7 +131,7 @@ class _Job:
         "job_id", "tenant", "priority", "workload", "spec", "taps",
         "stream", "orig_len", "deadline", "submitted_s", "started_s",
         "attempts", "future", "span", "done", "timed_out", "timer",
-        "cache_key", "batch",
+        "cache_key", "plan_id",
     )
 
     def __init__(
@@ -155,24 +156,27 @@ class _Job:
         self.timed_out = False
         self.timer: Optional[asyncio.TimerHandle] = None
         self.cache_key: Optional[tuple] = None
-        self.batch: Optional["_Batch"] = None
+        # The wire id of the plan carrying this job (an id, not the plan
+        # object, so a finished job is freed without waiting for the GC).
+        self.plan_id: Optional[int] = None
 
 
-class _Batch:
-    """One coalesced dispatch unit from :meth:`submit_many`: several
-    compatible jobs (same workload + taps), one wire request, one fault
-    sample, whole-batch retry."""
+class _Plan:
+    """The runtime's one dispatch unit: one or more compatible jobs
+    (same workload + taps) from :func:`~repro.service.planner.coalesce`,
+    one wire request, one fault sample, whole-plan retry.  Its wire id
+    is its first member's job id, so job ids stay dense."""
 
-    __slots__ = ("batch_id", "workload", "taps", "members", "dispatched",
-                 "attempts")
+    __slots__ = ("members", "dispatched", "attempts")
 
-    def __init__(self, batch_id: int, workload: str, taps, members):
-        self.batch_id = batch_id
-        self.workload = workload
-        self.taps = taps
-        self.members: List[_Job] = members
-        self.dispatched: List[_Job] = members  # stream order, per attempt
+    def __init__(self, members: List[_Job]):
+        self.members = members
+        self.dispatched = members  # live members in stream order, per attempt
         self.attempts = 0
+
+    @property
+    def plan_id(self) -> int:
+        return self.members[0].job_id
 
 
 class AsyncMatcherService:
@@ -206,7 +210,7 @@ class AsyncMatcherService:
         self.obs = obs
         if obs is not None:
             self.faults.attach_obs(obs)
-        from ..obs.metrics import MetricsRegistry
+        from ..obs.metrics import SECONDS_BUCKETS, MetricsRegistry
 
         self.registry = obs.registry if obs is not None else MetricsRegistry()
         r = self.registry
@@ -221,7 +225,9 @@ class AsyncMatcherService:
         self._m_batches = r.counter("runtime.batches")
         self._m_batched_jobs = r.counter("runtime.jobs.batched")
         self._m_deduped = r.counter("runtime.jobs.deduped")
-        self._h_latency = r.histogram("runtime.job.latency_s")
+        self._h_latency = r.histogram(
+            "runtime.job.latency_s", buckets=SECONDS_BUCKETS
+        )
         # Optional cross-tenant result cache (shared with the sync farm's
         # key scheme, so a farm-warmed cache serves runtime traffic and
         # vice versa).  Its ``now`` domain here is runtime seconds.
@@ -231,7 +237,7 @@ class AsyncMatcherService:
         )
         self._jobs: Dict[int, _Job] = {}
         self._completed: Dict[int, RuntimeResult] = {}
-        self._batches: Dict[int, _Batch] = {}
+        self._plans: Dict[int, _Plan] = {}
         self._followers: Dict[int, List[_Job]] = {}
         self._next_id = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -277,88 +283,10 @@ class AsyncMatcherService:
         timeout: Optional[float] = None,
     ) -> int:
         """Admit one job; returns its id (await :meth:`result` for the
-        value).
-
-        The submitter is *suspended* while its tenant is over its rate
-        limit (CSP backpressure).  When the pending set is at
-        ``max_pending`` the job is shed: served immediately from the
-        host-side oracle if ``degrade_when_saturated`` (never wrong,
-        just slower), else :class:`~repro.errors.BackpressureError`.
-        *timeout* (seconds) is the job's SLO: if it expires before a
-        worker answers, the job is completed degraded and any late
-        worker reply is dropped.
-        """
-        if not self._started:
-            raise ServiceError(
-                "service not started (use 'async with' or await start())"
-            )
-        if timeout is not None and timeout <= 0:
-            raise ServiceError("timeout must be positive")
-        while True:
-            delay = self.limiter.delay(tenant, self._loop.time())
-            if delay <= 0.0:
-                break
-            await asyncio.sleep(delay)
-        spec = get_workload(workload)
-        taps = spec.parse_params(params, self.alphabet)
-        validated = spec.validate_stream(stream, self.alphabet)
-        ktaps, feed = spec.prepare(taps, validated)
-        job_id = self._next_id
-        self._next_id += 1
-        self._m_submitted.inc()
-        job = _Job(
-            job_id, tenant, priority, workload, spec, ktaps, feed,
-            len(validated), self._now(), self._loop.create_future(),
-        )
-        if self.obs is not None:
-            job.span = self.obs.tracer.open_span(
-                "runtime.job", t0=job.submitted_s, unit="s",
-                job_id=job_id, tenant=tenant, priority=priority.name,
-                workload=workload,
-            )
-        if not validated:
-            job.started_s = job.submitted_s
-            self._jobs[job_id] = job
-            self._complete(job, [], mode="empty", worker=None,
-                           via_fallback=False)
-            return job_id
-        job.cache_key = result_cache_key(
-            workload, taps, validated, spec.numeric
-        )
-        if self.cache is not None:
-            hit = self.cache.get(
-                job.cache_key, tenant=tenant, now=self._now()
-            )
-            if hit is not None:
-                job.started_s = self._now()
-                self._jobs[job_id] = job
-                self._complete(job, hit, mode="cached", worker=None,
-                               via_fallback=False)
-                return job_id
-        if len(self._jobs) >= self.config.max_pending:
-            self._m_backpressure.inc()
-            if not self.config.degrade_when_saturated:
-                if job.span is not None:
-                    self.obs.tracer.close(
-                        job.span, t1=self._now(), rejected=True
-                    )
-                raise BackpressureError(
-                    f"runtime pending set full ({self.config.max_pending})"
-                )
-            self._jobs[job_id] = job
-            job.started_s = self._now()
-            self._serve_fallback(job, reason="saturated")
-            return job_id
-        self._jobs[job_id] = job
-        timeout_s = timeout if timeout is not None \
-            else self.config.default_timeout_s
-        if timeout_s is not None:
-            job.deadline = self._loop.time() + timeout_s
-            job.timer = self._loop.call_later(
-                timeout_s, self._on_deadline, job
-            )
-        self._dispatch(job)
-        return job_id
+        value).  :meth:`submit_many` of one stream."""
+        return (await self.submit_many(
+            params, [stream], tenant, priority, workload, timeout
+        ))[0]
 
     async def submit_many(
         self,
@@ -369,21 +297,31 @@ class AsyncMatcherService:
         workload: str = MATCH.name,
         timeout: Optional[float] = None,
     ) -> List[int]:
-        """Admit one job per stream, coalescing compatible work.
+        """Admit one job per stream, coalescing compatible work; returns
+        their ids (await :meth:`result` for the values).
 
         The params are parsed **once**; each stream then takes the
         cheapest route that still yields an oracle-identical result:
         empty streams complete immediately; streams whose canonical
         answer sits in the :class:`~repro.service.cache.ResultCache`
-        complete from it (``mode="cached"``); duplicate streams share
+        complete from it (``mode="cached"``); the rest are planned by
+        :func:`~repro.service.planner.coalesce`: duplicate streams share
         one execution (the first occurrence is the representative,
-        later ones complete as followers, ``mode="deduped"``); the rest
-        are coalesced into batch plans of at most
+        later ones complete as followers, ``mode="deduped"``), and
+        unique ones are chunked into plans of at most
         ``config.max_batch_jobs`` jobs, each plan one wire crossing
-        answered by the worker's batched kernel (``mode="batched"``).
-        Rate limits still apply per job, and each member keeps its own
-        SLO deadline: a member that times out is served degraded and
-        its slice of any late batch reply is dropped.
+        answered by the worker's batched kernel (``mode="pool"`` for a
+        one-member plan, ``"batched"`` for a longer one).
+
+        The submitter is *suspended* while its tenant is over its rate
+        limit (CSP backpressure), per job.  When the pending set is at
+        ``max_pending`` a job is shed: served immediately from the
+        host-side oracle if ``degrade_when_saturated`` (never wrong,
+        just slower), else :class:`~repro.errors.BackpressureError` is
+        raised -- after the jobs already admitted are dispatched.
+        *timeout* (seconds) is each job's SLO: if it expires before a
+        worker answers, the job is completed degraded and its slice of
+        any late worker reply is dropped.
         """
         if not self._started:
             raise ServiceError(
@@ -393,150 +331,104 @@ class AsyncMatcherService:
             raise ServiceError("timeout must be positive")
         spec = get_workload(workload)
         taps = spec.parse_params(params, self.alphabet)
+        key_params = canonical_params(taps)
         timeout_s = timeout if timeout is not None \
             else self.config.default_timeout_s
         job_ids: List[int] = []
-        reps: Dict[tuple, _Job] = {}
-        batchable: List[_Job] = []
-
-        def flush() -> None:
-            step = self.config.max_batch_jobs
-            for i in range(0, len(batchable), step):
-                chunk = batchable[i:i + step]
-                if len(chunk) == 1:
-                    self._dispatch(chunk[0])
-                    continue
-                batch = _Batch(
-                    self._next_id, workload, chunk[0].taps, chunk
-                )
+        admitted: List[_Job] = []
+        try:
+            for stream in streams:
+                while True:
+                    delay = self.limiter.delay(tenant, self._loop.time())
+                    if delay <= 0.0:
+                        break
+                    await asyncio.sleep(delay)
+                validated = spec.validate_stream(stream, self.alphabet)
+                ktaps, feed = spec.prepare(taps, validated)
+                job_id = self._next_id
                 self._next_id += 1
-                for member in chunk:
-                    member.batch = batch
-                self._batches[batch.batch_id] = batch
-                self._m_batches.inc()
-                self._m_batched_jobs.inc(len(chunk))
-                self._dispatch_batch(batch)
-            batchable.clear()
-
-        params = canonical_params(taps)
-        for stream in streams:
-            while True:
-                delay = self.limiter.delay(tenant, self._loop.time())
-                if delay <= 0.0:
-                    break
-                await asyncio.sleep(delay)
-            validated = spec.validate_stream(stream, self.alphabet)
-            ktaps, feed = spec.prepare(taps, validated)
-            job_id = self._next_id
-            self._next_id += 1
-            self._m_submitted.inc()
-            job = _Job(
-                job_id, tenant, priority, workload, spec, ktaps, feed,
-                len(validated), self._now(), self._loop.create_future(),
-            )
-            job_ids.append(job_id)
-            if self.obs is not None:
-                job.span = self.obs.tracer.open_span(
-                    "runtime.job", t0=job.submitted_s, unit="s",
-                    job_id=job_id, tenant=tenant, priority=priority.name,
-                    workload=workload,
+                self._m_submitted.inc()
+                job = _Job(
+                    job_id, tenant, priority, workload, spec, ktaps, feed,
+                    len(validated), self._now(), self._loop.create_future(),
                 )
-            if not validated:
-                job.started_s = job.submitted_s
-                self._jobs[job_id] = job
-                self._complete(job, [], mode="empty", worker=None,
-                               via_fallback=False)
-                continue
-            job.cache_key = result_cache_key(
-                workload, taps, validated, spec.numeric, params=params
-            )
-            if self.cache is not None:
-                hit = self.cache.get(
-                    job.cache_key, tenant=tenant, now=self._now()
-                )
-                if hit is not None:
-                    job.started_s = self._now()
+                job_ids.append(job_id)
+                if self.obs is not None:
+                    job.span = self.obs.tracer.open_span(
+                        "runtime.job", t0=job.submitted_s, unit="s",
+                        job_id=job_id, tenant=tenant,
+                        priority=priority.name, workload=workload,
+                    )
+                if not validated:
+                    job.started_s = job.submitted_s
                     self._jobs[job_id] = job
-                    self._complete(job, hit, mode="cached", worker=None,
+                    self._complete(job, [], mode="empty", worker=None,
                                    via_fallback=False)
                     continue
-            if len(self._jobs) >= self.config.max_pending:
-                self._m_backpressure.inc()
-                if not self.config.degrade_when_saturated:
-                    if job.span is not None:
-                        self.obs.tracer.close(
-                            job.span, t1=self._now(), rejected=True
-                        )
-                    flush()  # already-admitted work must still run
-                    raise BackpressureError(
-                        f"runtime pending set full "
-                        f"({self.config.max_pending})"
-                    )
-                self._jobs[job_id] = job
-                job.started_s = self._now()
-                self._serve_fallback(job, reason="saturated")
-                continue
-            self._jobs[job_id] = job
-            if timeout_s is not None:
-                job.deadline = self._loop.time() + timeout_s
-                job.timer = self._loop.call_later(
-                    timeout_s, self._on_deadline, job
+                job.cache_key = result_cache_key(
+                    workload, taps, validated, spec.numeric,
+                    params=key_params,
                 )
-            rep = reps.get(job.cache_key)
-            if rep is not None:
-                self._m_deduped.inc()
-                self._followers.setdefault(rep.job_id, []).append(job)
-                continue
-            reps[job.cache_key] = job
-            batchable.append(job)
-        flush()
+                if self.cache is not None:
+                    hit = self.cache.get(
+                        job.cache_key, tenant=tenant, now=self._now()
+                    )
+                    if hit is not None:
+                        job.started_s = self._now()
+                        self._jobs[job_id] = job
+                        self._complete(job, hit, mode="cached", worker=None,
+                                       via_fallback=False)
+                        continue
+                if len(self._jobs) >= self.config.max_pending:
+                    self._m_backpressure.inc()
+                    if not self.config.degrade_when_saturated:
+                        if job.span is not None:
+                            self.obs.tracer.close(
+                                job.span, t1=self._now(), rejected=True
+                            )
+                        raise BackpressureError(
+                            f"runtime pending set full "
+                            f"({self.config.max_pending})"
+                        )
+                    self._jobs[job_id] = job
+                    job.started_s = self._now()
+                    self._serve_fallback(job, reason="saturated")
+                    continue
+                self._jobs[job_id] = job
+                if timeout_s is not None:
+                    job.deadline = self._loop.time() + timeout_s
+                    job.timer = self._loop.call_later(
+                        timeout_s, self._on_deadline, job
+                    )
+                admitted.append(job)
+        finally:
+            # Already-admitted work must run even if admission stopped
+            # early; a member whose deadline fired meanwhile was served.
+            self._plan([j for j in admitted if not j.done])
         return job_ids
 
     # -- dispatch / completion --------------------------------------------
 
-    def _dispatch(self, job: _Job) -> None:
-        fault = self.faults.sample()
-        fault_kind = None
-        stall_s = 0.0
-        if fault is not None:
-            if fault.kind is FaultKind.WORKER_DEATH:
-                fault_kind = "death"
-            else:
-                stall_s = fault.extra_beats * self.config.stuck_stall_s
-        if job.started_s is None:
-            job.started_s = self._now()
-        # Character streams cross the process boundary as a compact
-        # string (picks/unpickles ~10x faster than a char list); the
-        # fast engines iterate either form identically.
-        wire_stream = job.stream
-        if not job.spec.numeric and wire_stream and \
-                isinstance(wire_stream[0], str):
-            wire_stream = "".join(wire_stream)
-        request = JobRequest(
-            job_id=job.job_id,
-            attempt=job.attempts,
-            workload=job.workload,
-            taps=job.taps,
-            stream=wire_stream,
-            collect_obs=self.obs is not None,
-            fault=fault_kind,
-            stall_s=stall_s,
-        )
-        self.pool.submit(
-            request,
-            self._reply_from_thread,
-            deadline=job.deadline,
-            priority=int(job.priority),
-        )
+    def _plan(self, jobs: List[_Job]) -> None:
+        """Coalesce admitted jobs into plans and dispatch each."""
+        plans, followers = coalesce(jobs, self.config.max_batch_jobs)
+        for rep, follower in followers:
+            self._m_deduped.inc()
+            self._followers.setdefault(rep.job_id, []).append(follower)
+        for members in plans:
+            plan = _Plan(members)
+            for job in members:
+                job.plan_id = plan.plan_id
+            if len(members) > 1:
+                self._m_batches.inc()
+                self._m_batched_jobs.inc(len(members))
+            self._plans[plan.plan_id] = plan
+            self._dispatch(plan)
 
-    def _dispatch_batch(self, batch: _Batch) -> None:
-        """Send one batch plan to the pool: the not-yet-done members'
-        streams under one request, one shared fault sample."""
-        live = [j for j in batch.members if not j.done]
-        if not live:
-            self._batches.pop(batch.batch_id, None)
-            return
-        batch.dispatched = live
+    def _dispatch(self, plan: _Plan) -> None:
+        """Send one plan to the pool: its live members' streams under
+        one request, one shared fault sample."""
+        live = plan.dispatched
         fault = self.faults.sample()
         fault_kind = None
         stall_s = 0.0
@@ -550,21 +442,23 @@ class AsyncMatcherService:
         for job in live:
             if job.started_s is None:
                 job.started_s = now
+            # Character streams cross the process boundary as a compact
+            # string (pickles/unpickles ~10x faster than a char list);
+            # the kernels iterate either form identically.
             wire = job.stream
             if not job.spec.numeric and wire and isinstance(wire[0], str):
                 wire = "".join(wire)
             wire_streams.append(wire)
         deadlines = [j.deadline for j in live if j.deadline is not None]
         request = JobRequest(
-            job_id=batch.batch_id,
-            attempt=batch.attempts,
-            workload=batch.workload,
-            taps=batch.taps,
-            stream=None,
+            job_id=plan.plan_id,
+            attempt=plan.attempts,
+            workload=live[0].workload,
+            taps=live[0].taps,
+            streams=wire_streams,
             collect_obs=self.obs is not None,
             fault=fault_kind,
             stall_s=stall_s,
-            streams=wire_streams,
         )
         self.pool.submit(
             request,
@@ -578,45 +472,13 @@ class AsyncMatcherService:
         self._loop.call_soon_threadsafe(self._handle_reply, reply)
 
     def _handle_reply(self, reply: JobReply) -> None:
-        if reply.job_id in self._batches or reply.results_many is not None:
-            self._handle_batch_reply(reply)
-            return
-        job = self._jobs.get(reply.job_id)
-        if job is None or job.done or reply.attempt != job.attempts:
+        plan = self._plans.get(reply.job_id)
+        if plan is None or reply.attempt != plan.attempts:
             self._m_stale.inc()
             return
+        live = [j for j in plan.dispatched if not j.done]
         if reply.ok:
-            if self.obs is not None:
-                if reply.metrics:
-                    self.obs.registry.merge_snapshot(reply.metrics)
-                if reply.spans:
-                    self.obs.tracer.adopt(
-                        reply.spans, parent=job.span,
-                        offset=max(job.started_s, 0.0),
-                    )
-            results = job.spec.finalize(job.taps, job.orig_len, reply.results)
-            self._complete(
-                job, results, mode="pool", worker=reply.worker,
-                via_fallback=False,
-            )
-            return
-        job.attempts += 1
-        if reply.died:
-            self._m_deaths.inc()
-        if self.retry.should_retry(job.attempts):
-            self._m_retries.inc()
-            self._dispatch(job)
-        else:
-            self._serve_fallback(job, reason="retries-exhausted")
-
-    def _handle_batch_reply(self, reply: JobReply) -> None:
-        batch = self._batches.get(reply.job_id)
-        if batch is None or reply.attempt != batch.attempts:
-            self._m_stale.inc()
-            return
-        live = [j for j in batch.dispatched if not j.done]
-        if reply.ok:
-            self._batches.pop(batch.batch_id, None)
+            del self._plans[plan.plan_id]
             if self.obs is not None:
                 if reply.metrics:
                     self.obs.registry.merge_snapshot(reply.metrics)
@@ -625,38 +487,39 @@ class AsyncMatcherService:
                         reply.spans, parent=live[0].span,
                         offset=max(live[0].started_s, 0.0),
                     )
-            for job, rows in zip(batch.dispatched, reply.results_many):
+            mode = "batched" if len(plan.members) > 1 else "pool"
+            for job, rows in zip(plan.dispatched, reply.results_many):
                 if job.done:
                     continue  # its deadline fired; already served degraded
                 results = job.spec.finalize(job.taps, job.orig_len, rows)
                 self._complete(
-                    job, results, mode="batched", worker=reply.worker,
+                    job, results, mode=mode, worker=reply.worker,
                     via_fallback=False,
                 )
             return
-        # Whole-batch failure (death or error): bounded whole-batch retry.
-        batch.attempts += 1
+        # Whole-plan failure (death or error): bounded whole-plan retry.
+        plan.attempts += 1
         if reply.died:
             self._m_deaths.inc()
         for job in live:
             job.attempts += 1
-        if live and self.retry.should_retry(batch.attempts):
+        if live and self.retry.should_retry(plan.attempts):
             self._m_retries.inc()
-            self._dispatch_batch(batch)
+            plan.dispatched = live
+            self._dispatch(plan)
         else:
-            self._batches.pop(batch.batch_id, None)
+            del self._plans[plan.plan_id]
             for job in live:
                 self._serve_fallback(job, reason="retries-exhausted")
 
     def _on_deadline(self, job: _Job) -> None:
-        """The job's SLO expired: shed it from the pool and serve it
-        degraded.  A hung worker can no longer wedge this job."""
+        """The job's SLO expired: serve it degraded.  Once every member
+        of its plan is done the plan's wire request is cancelled, so a
+        hung worker can no longer wedge this job."""
         if job.done:
             return
         job.timed_out = True
         self._m_timeouts.inc()
-        if job.batch is None:
-            self.pool.cancel(job.job_id, job.attempts)
         job.attempts += 1
         if self.obs is not None:
             self.obs.tracer.event(
@@ -664,11 +527,10 @@ class AsyncMatcherService:
                 job_id=job.job_id, attempts=job.attempts,
             )
         self._serve_fallback(job, reason="deadline")
-        batch = job.batch
-        if batch is not None and all(j.done for j in batch.members):
-            # Every member has been served; drop the whole plan's reply.
-            self.pool.cancel(batch.batch_id, batch.attempts)
-            self._batches.pop(batch.batch_id, None)
+        plan = self._plans.get(job.plan_id)
+        if plan is not None and all(j.done for j in plan.members):
+            self.pool.cancel(plan.plan_id, plan.attempts)
+            del self._plans[plan.plan_id]
 
     def _serve_fallback(self, job: _Job, reason: str) -> None:
         """Host-side degraded service: the oracle answer, never wrong."""

@@ -2,7 +2,7 @@
 
 ``worker_main`` is what each :class:`~repro.runtime.pool.WorkerPool`
 process runs: receive a :class:`~repro.runtime.channels.JobRequest`,
-evaluate the workload's fast kernel (the same
+evaluate the workload's batched kernel (the same
 :class:`~repro.workloads.WorkloadSpec` engines the synchronous farm
 uses, so results are byte-identical by construction), reply with the
 window-space values plus the worker's own metrics snapshot and spans.
@@ -10,15 +10,16 @@ window-space values plus the worker's own metrics snapshot and spans.
 The function must be importable by ``multiprocessing`` spawn: it lives
 at module top level, takes only picklable arguments, and rebuilds its
 :class:`~repro.alphabet.Alphabet` locally from symbols+bits rather than
-receiving a live object graph.  Every request, ``match`` included, runs
-its workload's registered ``fast`` (or ``batched``) engine directly.
+receiving a live object graph.  Every request is a plan of one or more
+streams, ``match`` included, and runs its workload's registered
+``batched`` engine (``fast`` per stream when a spec has none).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..alphabet import Alphabet
 from .channels import Channel, JobReply, JobRequest, SHUTDOWN
@@ -50,29 +51,33 @@ def _execute(
         from ..workloads.registry import get_workload
 
         spec = get_workload(req.workload)
-        if req.streams is not None:
-            return _execute_batch(req, spec, name, alphabet, t0)
-        results = spec.fast(req.taps, req.stream, alphabet)
+        feeds = req.streams
+        if spec.batched is not None:
+            results_many = spec.batched(req.taps, feeds, alphabet)
+        else:
+            results_many = [spec.fast(req.taps, f, alphabet) for f in feeds]
         wall = time.perf_counter() - t0
         metrics = spans = None
         if req.collect_obs:
             from ..obs import Observability
+            from ..obs.metrics import SECONDS_BUCKETS
 
             obs = Observability()
+            samples = sum(len(f) for f in feeds)
             obs.tracer.record(
                 "worker.kernel", t0=0.0, t1=wall, unit="s",
                 worker=name, pid=os.getpid(), workload=spec.name,
-                samples=len(req.stream), window=len(req.taps),
-                attempt=req.attempt, engine="fastpath",
+                samples=samples, window=len(req.taps), jobs=len(feeds),
+                attempt=req.attempt, engine="batched",
             )
             obs.registry.counter(
                 "runtime.worker.jobs", worker=name, workload=spec.name
-            ).inc()
+            ).inc(len(feeds))
             obs.registry.counter(
                 "runtime.worker.samples", worker=name
-            ).inc(len(req.stream))
+            ).inc(samples)
             obs.registry.histogram(
-                "runtime.worker.wall_s", worker=name
+                "runtime.worker.wall_s", buckets=SECONDS_BUCKETS, worker=name
             ).observe(wall)
             metrics = obs.registry.snapshot()
             spans = obs.tracer.to_dict()["spans"]
@@ -83,7 +88,7 @@ def _execute(
             worker=name,
             pid=os.getpid(),
             wall_s=wall,
-            results=results,
+            results_many=results_many,
             metrics=metrics,
             spans=spans,
         )
@@ -131,55 +136,6 @@ def _execute_bist(req, name, t0):
         pid=os.getpid(),
         wall_s=time.perf_counter() - t0,
         bist=report.to_wire(),
-    )
-
-
-def _execute_batch(req, spec, name, alphabet, t0):
-    """Answer a batch plan: every stream through the workload's batched
-    kernel in one call (falling back to a per-stream fast loop when the
-    spec has no batched evaluator)."""
-    feeds = list(req.streams)
-    if spec.batched is not None:
-        results_many = spec.batched(req.taps, feeds, alphabet)
-    else:
-        results_many = [spec.fast(req.taps, f, alphabet) for f in feeds]
-    wall = time.perf_counter() - t0
-    metrics = spans = None
-    if req.collect_obs:
-        from ..obs import Observability
-
-        obs = Observability()
-        samples = sum(len(f) for f in feeds)
-        obs.tracer.record(
-            "worker.kernel", t0=0.0, t1=wall, unit="s",
-            worker=name, pid=os.getpid(), workload=spec.name,
-            samples=samples, window=len(req.taps), jobs=len(feeds),
-            attempt=req.attempt, engine="batched",
-        )
-        obs.registry.counter(
-            "runtime.worker.batches", worker=name, workload=spec.name
-        ).inc()
-        obs.registry.counter(
-            "runtime.worker.jobs", worker=name, workload=spec.name
-        ).inc(len(feeds))
-        obs.registry.counter(
-            "runtime.worker.samples", worker=name
-        ).inc(samples)
-        obs.registry.histogram(
-            "runtime.worker.wall_s", worker=name
-        ).observe(wall)
-        metrics = obs.registry.snapshot()
-        spans = obs.tracer.to_dict()["spans"]
-    return JobReply(
-        job_id=req.job_id,
-        attempt=req.attempt,
-        ok=True,
-        worker=name,
-        pid=os.getpid(),
-        wall_s=wall,
-        results_many=results_many,
-        metrics=metrics,
-        spans=spans,
     )
 
 

@@ -27,6 +27,8 @@ Layout
   and the host-oracle fallback path.
 * :mod:`~repro.service.telemetry` -- per-job and per-worker counters
   rendered through :class:`repro.analysis.report.Table`.
+* :mod:`~repro.service.planner` -- the one coalescing policy (dedup,
+  batch chunking, singletons) both front doors' ``submit_many`` use.
 * :mod:`~repro.service.cache` -- the cross-tenant :class:`ResultCache`
   the batch tier consults before dispatching (``submit``/``submit_many``
   with ``cache=ResultCache(...)``).

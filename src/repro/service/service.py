@@ -32,6 +32,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
 from .cache import ResultCache, canonical_params, result_cache_key
+from .planner import coalesce
 from .pool import DevicePool, PoolWorker, WorkerState
 from .reliability import FaultInjector, FaultKind, RetryPolicy, SoftwareFallback
 from .scheduler import BeatClock, JobQueues, Priority, SchedulerConfig, SharedBus
@@ -141,8 +142,9 @@ class _Execution:
 
 
 @dataclass
-class _BatchJob:
-    """A coalesced batch plan: many compatible jobs, one queue entry.
+class _BatchState:
+    """In-flight bookkeeping for one batch plan (a multi-job plan from
+    :func:`~repro.service.planner.coalesce`).
 
     All members share one parsed pattern/tap vector, tenant, and
     priority (the ``submit_many`` contract), and every member's text is
@@ -151,21 +153,6 @@ class _BatchJob:
     members' service beats and is retried, shed, or degraded as a unit
     (per-member deadlines are still honoured individually at launch)."""
 
-    jobs: List[MatchJob]
-    tenant: str
-    priority: Priority
-    workload: str
-
-    @property
-    def window_len(self) -> int:
-        return self.jobs[0].window_len
-
-
-@dataclass
-class _BatchState:
-    """In-flight bookkeeping for one batch plan."""
-
-    batch: _BatchJob
     jobs: List[MatchJob]  # members still owed a device execution
     started_beat: Optional[float] = None
     attempts: int = 0  # failed batch executions (drives the retry policy)
@@ -244,61 +231,11 @@ class MatcherService:
         workload: str = MATCH.name,
         timeout: Optional[float] = None,
     ) -> int:
-        """Admit one query; returns its job id.
-
-        *pattern* is a match pattern for the default workload, or the
-        tap/pattern parameters of any workload registered in
-        :mod:`repro.workloads` (``"count"``, ``"correlation"``,
-        ``"convolution"``, ``"fir"``, ``"inner-product"``); *text* is the
-        character text or numeric sample stream accordingly.
-
-        Raises :class:`BackpressureError` when the priority class's
-        bounded queue is full and ``degrade_when_saturated`` is off;
-        otherwise a saturated submission runs on the host CPU's
-        behavioral oracle for the workload immediately (slower, never
-        wrong).
-
-        *timeout* (beats) is the job's SLO: any shard launch whose
-        projected finish would land past ``submitted + timeout`` is not
-        committed to a worker at all -- the shard is served degraded
-        from the host oracle instead, so a slow or hung worker can
-        never wedge a drain past the deadline.  The result is flagged
-        ``timed_out`` (and still oracle-identical).
-        """
-        if timeout is not None and timeout <= 0:
-            raise ServiceError("timeout must be a positive number of beats")
-        spec = get_workload(workload)
-        taps = spec.parse_params(pattern, self.pool.alphabet)
-        job, validated = self._admit(
-            spec, taps, text, tenant, priority, timeout
-        )
-        if not validated:
-            self._complete_empty(job)
-            return job.job_id
-        if self.cache is not None:
-            job.cache_key = result_cache_key(
-                workload, taps, validated, spec.numeric
-            )
-            hit = self.cache.get(
-                job.cache_key, tenant=tenant, now=self.clock.now
-            )
-            if hit is not None:
-                self._complete_cached(job, hit)
-                return job.job_id
-        try:
-            self.queues.put(priority, tenant, job)
-            self._note_queue_depth(priority)
-        except BackpressureError:
-            self.telemetry.backpressure_hits += 1
-            if not self.config.degrade_when_saturated:
-                self.telemetry.submitted -= 1
-                if job.span is not None:
-                    self.obs.tracer.close(
-                        job.span, t1=self.clock.now, rejected=True
-                    )
-                raise
-            self._complete_member_software(job)
-        return job.job_id
+        """Admit one query; returns its job id (:meth:`submit_many` of
+        one text)."""
+        return self.submit_many(
+            pattern, [text], tenant, priority, workload, timeout
+        )[0]
 
     def _admit(
         self,
@@ -355,42 +292,52 @@ class MatcherService:
         workload: str = MATCH.name,
         timeout: Optional[float] = None,
     ) -> List[int]:
-        """Admit one job per text in *texts*, coalesced into batch plans.
+        """Admit one job per text in *texts*; returns their job ids.
 
-        The batched front door for query chunks.  The pattern (or tap
-        vector) is parsed **once**; each text then takes the cheapest
-        route that still yields an oracle-identical result:
+        *pattern* is a match pattern for the default workload, or the
+        tap/pattern parameters of any workload registered in
+        :mod:`repro.workloads` (``"count"``, ``"correlation"``,
+        ``"convolution"``, ``"fir"``, ``"inner-product"``); each text is
+        the character text or numeric sample stream accordingly.  The
+        pattern (or tap vector) is parsed **once**; each text then takes
+        the cheapest route that still yields an oracle-identical result:
 
         * empty texts complete immediately;
         * texts whose canonical result is already in the
           :class:`~repro.service.cache.ResultCache` complete from it
           (``mode="cached"``);
-        * duplicate texts build **one** plan per *unique* text -- the
-          first occurrence is the representative, later ones are
-          followers that share its execution and results
-          (``mode="deduped"``);
-        * wide texts (``>= wide_text_threshold``) keep their own
-          shard/merge plans, exactly like :meth:`submit`;
-        * everything else is coalesced into :class:`_BatchJob` plans of
-          at most ``config.max_batch_jobs`` members, each dispatched to
-          a worker as a single batched execution (``mode="batched"``).
+        * the rest are planned by :func:`~repro.service.planner.coalesce`:
+          duplicate texts share **one** plan -- the first occurrence is
+          the representative, later ones are followers that share its
+          execution and results (``mode="deduped"``); wide texts
+          (``>= wide_text_threshold``) get their own shard/merge plans;
+          narrow texts are chunked into plans of at most
+          ``config.max_batch_jobs`` members.  A one-member plan runs as
+          a singleton (``mode="direct"``/``"multipass"``), a longer one
+          as a single batched execution on one worker
+          (``mode="batched"``).
 
-        Backpressure applies per queue entry (one batch plan is one
-        entry): with ``degrade_when_saturated`` the overflowing plan is
-        served by the host oracle; otherwise the overflowing plan
-        and every not-yet-admitted job after it is rejected and
-        :class:`BackpressureError` raised (already-admitted jobs stay
-        admitted).
+        Backpressure applies per queue entry (one plan is one entry).
+        With ``degrade_when_saturated`` the overflowing plan is served
+        by the host CPU's behavioral oracle for the workload right away
+        (slower, never wrong); otherwise the overflowing plan and every
+        plan after it is rejected and :class:`BackpressureError` raised
+        (already-admitted plans stay admitted).
+
+        *timeout* (beats) is each job's SLO: any launch whose projected
+        finish would land past ``submitted + timeout`` is not committed
+        to a worker at all -- the job (or shard) is served degraded from
+        the host oracle instead, so a slow or hung worker can never
+        wedge a drain past the deadline.  The result is flagged
+        ``timed_out`` (and still oracle-identical).
         """
         if timeout is not None and timeout <= 0:
             raise ServiceError("timeout must be a positive number of beats")
         spec = get_workload(workload)
         parsed = spec.parse_params(pattern, self.pool.alphabet)
-        job_ids: List[int] = []
-        reps: Dict[tuple, MatchJob] = {}
-        batchable: List[MatchJob] = []
-        units: List[object] = []  # wide-text singleton jobs + batch plans
         params = canonical_params(parsed)
+        job_ids: List[int] = []
+        admitted: List[MatchJob] = []
         for text in texts:
             job, validated = self._admit(
                 spec, parsed, text, tenant, priority, timeout
@@ -409,42 +356,27 @@ class MatcherService:
                 if hit is not None:
                     self._complete_cached(job, hit)
                     continue
-            rep = reps.get(job.cache_key)
-            if rep is not None:
-                # One plan per unique text: this job shares the
-                # representative's execution and fans out at completion.
-                self.telemetry.deduped += 1
-                self._followers.setdefault(rep.job_id, []).append(job)
-                continue
-            reps[job.cache_key] = job
-            if len(job.text) >= self.config.wide_text_threshold:
-                units.append(job)  # its own shard/merge plan
-            else:
-                batchable.append(job)
-        step = self.config.max_batch_jobs
-        for i in range(0, len(batchable), step):
-            units.append(_BatchJob(
-                jobs=batchable[i : i + step],
-                tenant=tenant,
-                priority=priority,
-                workload=workload,
-            ))
-        for i, unit in enumerate(units):
-            members = [unit] if isinstance(unit, MatchJob) else unit.jobs
+            admitted.append(job)
+        wide = self.config.wide_text_threshold
+        plans, followers = coalesce(
+            admitted, self.config.max_batch_jobs,
+            solo=lambda job: len(job.text) >= wide,
+        )
+        for rep, follower in followers:
+            self.telemetry.deduped += 1
+            self._followers.setdefault(rep.job_id, []).append(follower)
+        for i, plan in enumerate(plans):
             try:
-                self.queues.put(priority, tenant, unit)
+                self.queues.put(priority, tenant, plan)
                 self._note_queue_depth(priority)
             except BackpressureError:
                 self.telemetry.backpressure_hits += 1
                 if self.config.degrade_when_saturated:
-                    for job in members:
+                    for job in plan:
                         self._complete_member_software(job)
                     continue
-                for late in units[i:]:
-                    late_members = (
-                        [late] if isinstance(late, MatchJob) else late.jobs
-                    )
-                    for job in late_members:
+                for late in plans[i:]:
+                    for job in late:
                         self._reject(job)
                 raise
         return job_ids
@@ -509,16 +441,16 @@ class MatcherService:
                 continue
             if self._retry_batches:
                 bstate = self._retry_batches.popleft()
-                worker = self._choose_worker(idle, bstate.batch.window_len)
+                worker = self._choose_worker(idle, bstate.jobs[0].window_len)
                 self._launch_batch(bstate, worker)
                 continue
-            unit = self.queues.pop()
-            if unit is None:
+            plan = self.queues.pop()
+            if plan is None:
                 return
-            if isinstance(unit, _BatchJob):
-                self._start_batch(unit)
+            if len(plan) > 1:
+                self._start_batch(plan)
             else:
-                self._start_job(unit)
+                self._start_job(plan[0])
 
     @staticmethod
     def _choose_worker(
@@ -798,13 +730,12 @@ class MatcherService:
 
     # -- batch plans -------------------------------------------------------
 
-    def _start_batch(self, batch: _BatchJob) -> None:
-        self._note_queue_depth(batch.priority)
-        state = _BatchState(batch, jobs=list(batch.jobs))
+    def _start_batch(self, plan: List[MatchJob]) -> None:
+        self._note_queue_depth(plan[0].priority)
         worker = self._choose_worker(
-            self.pool.idle_workers(), batch.window_len
+            self.pool.idle_workers(), plan[0].window_len
         )
-        self._launch_batch(state, worker)
+        self._launch_batch(_BatchState(list(plan)), worker)
 
     def _batch_demand(
         self, jobs: Sequence[MatchJob], worker: PoolWorker
@@ -868,7 +799,7 @@ class MatcherService:
 
     def _complete_batch(self, execution: _BatchExecution) -> None:
         state, worker = execution.state, execution.worker
-        batch = state.batch
+        jobs = state.jobs
         stats = self.telemetry.worker_stats(worker.name, worker.capacity)
         stats.executions += 1
         stats.record_busy(execution.start_beat, execution.finish_beat)
@@ -878,8 +809,8 @@ class MatcherService:
             batch_span = self.obs.tracer.record(
                 "service.batch",
                 t0=execution.start_beat, t1=execution.finish_beat,
-                unit="beats", worker=worker.name, jobs=len(state.jobs),
-                workload=batch.workload, attempt=state.attempts,
+                unit="beats", worker=worker.name, jobs=len(jobs),
+                workload=jobs[0].workload, attempt=state.attempts,
                 fault=fault.kind.value if fault is not None else None,
             )
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
@@ -900,7 +831,6 @@ class MatcherService:
         if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
             stats.stuck_events += 1
             self.telemetry.stuck_events += 1
-        jobs = state.jobs
         results_many = worker.run_kernel_batch(
             jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
             obs=self.obs, parent=batch_span,
@@ -911,7 +841,7 @@ class MatcherService:
             state.started_beat if state.started_beat is not None
             else execution.start_beat
         )
-        plen = batch.window_len
+        plen = jobs[0].window_len
         for job, merged in zip(jobs, results_many):
             self.telemetry.batched_jobs += 1
             self._record(
@@ -933,7 +863,7 @@ class MatcherService:
                     workers=(worker.name,),
                     attempts=job.attempts,
                     via_fallback=False,
-                    workload=batch.workload,
+                    workload=job.workload,
                 ),
                 job,
             )
@@ -949,11 +879,10 @@ class MatcherService:
             for job in bstate.jobs:
                 self._complete_member_software(job)
         while True:
-            unit = self.queues.pop()
-            if unit is None:
+            plan = self.queues.pop()
+            if plan is None:
                 break
-            members = unit.jobs if isinstance(unit, _BatchJob) else [unit]
-            for job in members:
+            for job in plan:
                 self._complete_member_software(job)
 
     # -- accounting --------------------------------------------------------

@@ -240,22 +240,3 @@ class TestContracts:
             batch.read("nope")
         with pytest.raises(CircuitError):
             batch.advance_time(-1.0)
-
-    def test_degrades_without_numpy(self, monkeypatch):
-        import repro.circuit.vectorsettle as vs
-
-        monkeypatch.setattr(vs, "_np", None)
-
-        def make():
-            c = Circuit("inv")
-            inverter(c, "a", "y")
-            return c
-
-        batch = vs.VectorizedCircuits([make() for _ in range(3)])
-        batch.set_input("a", [LOW, HIGH, LOW])
-        iters = batch.settle()
-        assert len(iters) == 3
-        assert batch.read_bool("y") == [True, False, True]
-        batch.release_input("a")
-        batch.advance_time(10.0)
-        batch.sync()  # no-op, but must not blow up

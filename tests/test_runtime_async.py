@@ -312,6 +312,32 @@ class TestObservability:
         assert worker_jobs == 4
         assert "runtime.pool.dispatched" in snap
 
+    def test_latency_histograms_resolve_sub_second_jobs(self, shared_pool):
+        # Host job latency and merged-back worker wall time use
+        # second-scale buckets: small jobs spread below 1 s instead of
+        # piling into the first bucket of the power-of-two defaults.
+        async def go():
+            warm = AsyncMatcherService(pool=shared_pool)
+            await warm.start()
+            for _ in range(2):  # both workers past their first import
+                await warm.result(await warm.submit("AX", "ABCA"))
+            obs = Observability()
+            svc = AsyncMatcherService(pool=shared_pool, obs=obs)
+            await svc.start()
+            for i in range(4):
+                await svc.submit("AXC", "ABCDABCA" * (i + 1))
+            await svc.drain()
+            return obs
+
+        obs = run(go())
+        for name in ("runtime.job.latency_s", "runtime.worker.wall_s"):
+            hists = obs.registry.series(name)
+            assert hists and sum(h.count for h in hists) == 4, name
+            for h in hists:
+                for bound, n in zip(h.bounds + (float("inf"),),
+                                    h.bucket_counts):
+                    assert n == 0 or bound < 1.0, (name, bound, n)
+
     def test_batched_submit_many_spans(self):
         # submit_many coalesces: distinct texts become one batch plan,
         # one wire crossing, one batched worker.kernel span; duplicate

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.alphabet import Alphabet
-from repro.errors import BackpressureError, ServiceError
+from repro.errors import AlphabetError, BackpressureError, ServiceError
 from repro.runtime import AsyncMatcherService, RuntimeConfig, WorkerPool
 from repro.service.cache import ResultCache
 from repro.service.reliability import FaultInjector
@@ -200,6 +200,19 @@ class TestAdversity:
             want = run_workload("fir", taps, s, AB, engine="oracle")
             assert results[jid].results == want
             assert results[jid].mode == "batched"
+
+    def test_bad_stream_still_runs_admitted_head(self, shared_pool):
+        # Admission stops at the invalid stream, but the job admitted
+        # before it is dispatched rather than left pending forever.
+        async def go():
+            svc = AsyncMatcherService(pool=shared_pool)
+            await svc.start()
+            with pytest.raises(AlphabetError):
+                await svc.submit_many("AX", ["ABCA", "ABZA"])
+            return await asyncio.wait_for(svc.drain(), timeout=30.0)
+
+        results = run(go())
+        assert [r.results for r in results] == [oracle("AX", "ABCA")]
 
     def test_saturation_raises_after_flushing_admitted_head(self):
         async def go():

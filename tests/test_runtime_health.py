@@ -113,7 +113,7 @@ class TestQuarantineHeal:
         assert victim not in pool.idle_names()
 
         request = JobRequest(job_id=-99, attempt=0, workload="bist",
-                             taps=[], stream=[],
+                             taps=[], streams=[],
                              bist={"m": 2, "w": 2, "vectors": 4,
                                    "seed": 0b1011, "characterize": False,
                                    "defect": None})
@@ -142,6 +142,23 @@ class TestQuarantineHeal:
         health.supply = good_supply()
         run(health.heal(victim))
         assert victim in pool.idle_names()
+
+    def test_harvest_bug_propagates_instead_of_drawing_on(
+        self, pool, monkeypatch
+    ):
+        """Only an unharvestable wafer (a ChipError) draws the next one;
+        any other exception from the harvest is a bug and surfaces."""
+        import repro.runtime.health as runtime_health
+
+        def broken(wafer):
+            raise KeyError("harvest bug")
+
+        monkeypatch.setattr(runtime_health, "harvest_linear_array", broken)
+        supply = good_supply()
+        health = RuntimeHealth(pool, supply=supply)
+        with pytest.raises(KeyError, match="harvest bug"):
+            run(health.heal(pool.idle_names()[0]))
+        assert supply.remaining == 7  # one wafer drawn, no more
 
 
 class TestInjectorDrivenSweep:

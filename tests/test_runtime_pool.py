@@ -100,14 +100,15 @@ class TestChannel:
     def test_messages_picklable(self):
         req = JobRequest(
             job_id=1, attempt=0, workload="match",
-            taps=list(AB.symbols), stream=["A", "B"], fault="death",
+            taps=list(AB.symbols), streams=[["A", "B"]], fault="death",
         )
         rep = JobReply(
             job_id=1, attempt=0, ok=True, worker="w", pid=1, wall_s=0.1,
-            results=[True, False], metrics={"c": []}, spans=[{"name": "s"}],
+            results_many=[[True, False]], metrics={"c": []},
+            spans=[{"name": "s"}],
         )
         assert pickle.loads(pickle.dumps(req)).job_id == 1
-        assert pickle.loads(pickle.dumps(rep)).results == [True, False]
+        assert pickle.loads(pickle.dumps(rep)).results_many[0] == [True, False]
 
 
 # -- the pool itself (real spawned workers) --------------------------------
@@ -144,7 +145,7 @@ def _match_request(job_id, text="ABCDABCA", attempt=0, **kw):
 
     return JobRequest(
         job_id=job_id, attempt=attempt, workload="match",
-        taps=parse_pattern("AB", AB), stream=list(text), **kw,
+        taps=parse_pattern("AB", AB), streams=[list(text)], **kw,
     )
 
 
@@ -158,7 +159,7 @@ class TestWorkerPool:
         assert reply.ok and not reply.died
         expect = get_workload("match").run("AB", "ABCDABCA", AB,
                                            engine="oracle")
-        assert reply.results == expect
+        assert reply.results_many[0] == expect
 
     def test_parallel_fanout_uses_both_workers(self, pool):
         cb, wait = _collect(8)
@@ -172,7 +173,7 @@ class TestWorkerPool:
         cb, wait = _collect(1)
         pool.submit(_match_request(2, fault="death"), cb)
         (reply,) = wait()
-        assert not reply.ok and reply.died and reply.results is None
+        assert not reply.ok and reply.died and reply.results_many is None
 
     def test_edf_dispatch_order(self, pool):
         """With one free worker, pending jobs drain earliest deadline
@@ -224,7 +225,7 @@ class TestWorkerPool:
     def test_worker_exception_ships_home(self, pool):
         cb, wait = _collect(1)
         bad = JobRequest(job_id=5, attempt=0, workload="no-such-workload",
-                        taps=[], stream=[1.0])
+                        taps=[], streams=[[1.0]])
         pool.submit(bad, cb)
         (reply,) = wait()
         assert not reply.ok and not reply.died
