@@ -2,7 +2,9 @@
 
 Times the layers the event-driven settle and the packed-word fast path
 accelerate, checks each against its slow reference bit for bit, and
-writes the numbers to ``BENCH_pr7.json`` so CI can diff runs:
+writes the numbers to the ``--out`` JSON file so CI can diff runs.  The
+default, ``.perfbench/BENCH_local.json``, is git-ignored, so a bare run
+never overwrites a committed ``BENCH_*.json`` snapshot.  Sections:
 
 * ``circuit_settle`` -- the switch-level matcher (``GateLevelMatcher``)
   driven by the event engine vs :func:`repro.circuit.simulator.settle_reference`,
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -711,7 +714,9 @@ def main(argv: List[str] = None) -> int:
         help="small inputs for CI smoke runs (equivalence still checked)",
     )
     ap.add_argument(
-        "--out", default="BENCH_pr7.json", help="output JSON path"
+        "--out", default=os.path.join(".perfbench", "BENCH_local.json"),
+        help="output JSON path (default: %(default)s, git-ignored; CI "
+        "names its BENCH_*.json explicitly)",
     )
     ap.add_argument(
         "--sections", default=None, metavar="A,B,...",
@@ -786,6 +791,7 @@ def main(argv: List[str] = None) -> int:
             print("[runtime_scaling] single-core box: "
                   "speedup recorded, target not enforced")
 
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -2,8 +2,8 @@
 
 Each library cell type is lowered to its two physical twins (circuit ->
 sticks -> layout, by the same mechanical generators that built the
-prototype cells), and the placed grid is handed to the generic
-:class:`~repro.layout.assembly.ArrayAssembler`: result row at the
+prototype cells) once per process, and the placed grid is handed to the
+generic :class:`~repro.layout.assembly.ArrayAssembler`: result row at the
 bottom, comparator rows above with row 0 on top, one pad per chip port
 plus power and clocks -- the Plate 2 arrangement at whatever size the
 spec asked for.
@@ -11,7 +11,7 @@ spec asked for.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..layout.assembly import ArrayAssembler
 from ..layout.cells import CellBundle
@@ -23,12 +23,24 @@ from .spec import ChipSpec
 __all__ = ["build_bundles", "build_assembler"]
 
 
+#: Every physical twin built so far in this process, keyed by
+#: ``(cell type name, positive)``.  A cell type's name encodes its bus
+#: widths (``counter4``, ``mac2x6``), so the key names one layout; the
+#: twins are shared by every design that uses the type and are read-only.
+#: Filled on first use, never at import.
+_TWINS: Dict[Tuple[str, bool], CellBundle] = {}
+
+
 def build_bundles(library: Library) -> Dict[str, CellBundle]:
-    """Both physical twins of every library cell, keyed by twin name."""
+    """Both physical twins of every library cell, keyed by twin name.
+
+    Each twin is laid out once per process and shared thereafter."""
     bundles: Dict[str, CellBundle] = {}
     for ct in library.cell_types().values():
         for positive in (True, False):
-            b = ct.bundle(positive)
+            b = _TWINS.get((ct.name, positive))
+            if b is None:
+                b = _TWINS[(ct.name, positive)] = ct.bundle(positive)
             bundles[b.name] = b
     return bundles
 

@@ -8,7 +8,7 @@ used lambda = 2.5 um (a 5-micron process).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import LayoutError
 
@@ -165,23 +165,33 @@ class RectIndex:
 
     def __init__(self, rects: List[Rect], cell: int = 32):
         self.rects = rects
-        self.cell = max(1, cell)
-        self._buckets: dict = {}
+        self.cell = c = max(1, cell)
+        buckets: Dict[Tuple[int, int], List[int]] = {}
         for i, r in enumerate(rects):
-            for key in self._keys(r, 0):
-                self._buckets.setdefault(key, []).append(i)
+            for bx in range(r.x0 // c, r.x1 // c + 1):
+                for by in range(r.y0 // c, r.y1 // c + 1):
+                    buckets.setdefault((bx, by), []).append(i)
+        # Rectangles go in in index order, so every bucket is already
+        # sorted and free of duplicates.
+        self._buckets = buckets
 
-    def _keys(self, r: Rect, pad: int):
+    def near(self, r: Rect, pad: int = 0) -> Sequence[int]:
+        """Indices of rectangles whose grid cells overlap *r* grown by
+        *pad*, ascending.
+
+        A probe inside one grid cell gets that cell's own bucket back;
+        callers iterate the result and must not mutate it.
+        """
         c = self.cell
-        for bx in range((r.x0 - pad) // c, (r.x1 + pad) // c + 1):
-            for by in range((r.y0 - pad) // c, (r.y1 + pad) // c + 1):
-                yield (bx, by)
-
-    def near(self, r: Rect, pad: int = 0) -> List[int]:
-        """Indices of rectangles whose grid cells overlap *r* grown by *pad*."""
+        bx0, bx1 = (r.x0 - pad) // c, (r.x1 + pad) // c
+        by0, by1 = (r.y0 - pad) // c, (r.y1 + pad) // c
+        buckets = self._buckets
+        if bx0 == bx1 and by0 == by1:
+            return buckets.get((bx0, by0), ())
         seen: set = set()
-        for key in self._keys(r, pad):
-            seen.update(self._buckets.get(key, ()))
+        for bx in range(bx0, bx1 + 1):
+            for by in range(by0, by1 + 1):
+                seen.update(buckets.get((bx, by), ()))
         return sorted(seen)
 
 

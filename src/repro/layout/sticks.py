@@ -17,6 +17,7 @@ character per lambda, with the paper's colour letters
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -138,23 +139,51 @@ class StickDiagram:
         "Field-effect transistors are created in NMOS by crossing a
         diffusion path with a polysilicon area" -- unless a contact joins
         the layers at that very point (a butting contact, not a device).
+
+        Found by lookup rather than by walking every lambda point of
+        every stick: the diffusion points are bucketed by row and by
+        column, and each poly stick bisects the bucket of its own row
+        (horizontal) or column (vertical) for the points inside its span.
+        Poly tracks run the full cell width, diffusion stays short, so
+        the cost follows the diffusion, not the length of the poly.
         """
-        poly_pts: Set[Point] = set()
-        diff_pts: Set[Point] = set()
+        diff: Set[Tuple[int, int]] = set()
         for s in self.sticks:
-            target = poly_pts if s.layer is Layer.POLY else (
-                diff_pts if s.layer is Layer.DIFFUSION else None
-            )
-            if target is not None:
-                target.update(s.points())
-        contact_pts = {c.at for c in self.contacts}
-        implant_pts = {i.at for i in self.implants}
-        sites = []
-        for p in sorted(poly_pts & diff_pts, key=lambda q: (q.y, q.x)):
-            if p in contact_pts:
+            if s.layer is Layer.DIFFUSION:
+                (x0, y0), (x1, y1) = sorted((tuple(s.a), tuple(s.b)))
+                diff.update(
+                    (x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
+                )
+        xs_by_row: Dict[int, List[int]] = {}
+        ys_by_col: Dict[int, List[int]] = {}
+        for x, y in diff:
+            xs_by_row.setdefault(y, []).append(x)
+            ys_by_col.setdefault(x, []).append(y)
+        for bucket in (*xs_by_row.values(), *ys_by_col.values()):
+            bucket.sort()
+        crossings: Set[Tuple[int, int]] = set()   # (y, x): sorts row-major
+        for s in self.sticks:
+            if s.layer is not Layer.POLY:
                 continue
-            sites.append((p, p in implant_pts))
-        return sites
+            if s.is_horizontal:
+                y, xs = s.a.y, xs_by_row.get(s.a.y)
+                if xs:
+                    lo, hi = sorted((s.a.x, s.b.x))
+                    crossings.update(
+                        (y, x) for x in xs[bisect_left(xs, lo):bisect_right(xs, hi)]
+                    )
+            else:
+                x, ys = s.a.x, ys_by_col.get(s.a.x)
+                if ys:
+                    lo, hi = sorted((s.a.y, s.b.y))
+                    crossings.update(
+                        (y, x) for y in ys[bisect_left(ys, lo):bisect_right(ys, hi)]
+                    )
+        crossings -= {(c.at.y, c.at.x) for c in self.contacts}
+        implant_pts = {(i.at.y, i.at.x) for i in self.implants}
+        return [
+            (Point(x, y), (y, x) in implant_pts) for y, x in sorted(crossings)
+        ]
 
     def connectivity(self) -> List[Set[str]]:
         """Groups of port names that the geometry electrically connects.

@@ -11,6 +11,7 @@ isolation, and ERC + timing over the whole-array netlist.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..circuit.chipnet import MatcherArrayNetlist
@@ -50,6 +51,7 @@ class Signoff:
         self.timing_params = timing_params
         self.required_ratio = required_ratio
         self.drc = DesignRuleChecker()
+        self._twins: Dict[int, tuple] = {}
 
     # -- stage helpers (each returns a StageReport) ------------------------
 
@@ -229,11 +231,10 @@ class Signoff:
         extraction = StageReport("extraction")
         lvs = StageReport("lvs")
         for name in sorted(compiled.bundles):
-            b = compiled.bundles[name]
-            drc.extend(self.drc_stage(b).findings)
-            ex_stage, ex = self.extraction_stage(b)
-            extraction.extend(ex_stage.findings)
-            lvs.extend(self.lvs_stage(b, ex).findings)
+            drc_f, ex_f, lvs_f = self._twin_findings(compiled.bundles[name])
+            drc.extend(drc_f)
+            extraction.extend(ex_f)
+            lvs.extend(lvs_f)
         report.stages.append(drc)
         report.stages.append(extraction)
         report.stages.append(lvs)
@@ -244,6 +245,26 @@ class Signoff:
         report.stages.append(self.timing_stage(net.circuit, net.phi, ports))
         report.stages.append(self.assembly_stage_for(compiled.assembler))
         return report
+
+    def _twin_findings(self, bundle: CellBundle):
+        """DRC, extraction and LVS findings of one twin, computed once.
+
+        Compiled designs share their twins (one object per cell type and
+        polarity), so a twin is checked the first time this instance
+        meets it.  The key is the object, never the name: a mutant that
+        carries a clean twin's name is a different object and is
+        checked afresh.  The entry holds the bundle, so its ``id`` stays
+        unique while cached.
+        """
+        entry = self._twins.get(id(bundle))
+        if entry is None:
+            drc = self.drc_stage(bundle)
+            ex_stage, ex = self.extraction_stage(bundle)
+            lvs = self.lvs_stage(bundle, ex)
+            entry = self._twins[id(bundle)] = (
+                bundle, drc.findings, ex_stage.findings, lvs.findings,
+            )
+        return entry[1:]
 
     # -- assembly audits ---------------------------------------------------
 
@@ -318,23 +339,23 @@ class Signoff:
                 "error",
                 "flattened CIF geometry is off the half-lambda grid",
             )
+        # The floorplan promises each cell type's channels once per placed
+        # instance; the die's flat nets (reused for the rail audit below)
+        # hold the channels the CIF actually draws.
+        nets = ConductorNets(flat)
         expected = 0
-        for cname, _x, _y in fp.cell_instances:
+        for cname, placed in Counter(
+            cname for cname, _x, _y in fp.cell_instances
+        ).items():
             cell = asm._cells[cname]
-            expected += len(
+            expected += placed * len(
                 gate_channels(
                     cell.rects.get(Layer.POLY, []),
                     cell.rects.get(Layer.DIFFUSION, []),
                     cell.rects.get(Layer.CONTACT, []),
                 )
             )
-        found = len(
-            gate_channels(
-                flat.get(Layer.POLY, []),
-                flat.get(Layer.DIFFUSION, []),
-                flat.get(Layer.CONTACT, []),
-            )
-        )
+        found = len(nets.channels)
         if found != expected:
             stage.add(
                 "cif-census",
@@ -350,7 +371,6 @@ class Signoff:
         # Supply isolation: the VDD and GND rails of every placed cell
         # must never share a net (rows may legally share rails among
         # themselves through abutment).
-        nets = ConductorNets(flat)
         margin_x = (fp.die_width - fp.core_width) // 2
         margin_y = (fp.die_height - fp.core_height) // 2
         vdd_nets, gnd_nets = set(), set()

@@ -6,6 +6,7 @@ the assembly audits -- and the six seeded signoff defects must still be
 caught by their responsible stages when planted in *generated* cells.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,85 @@ class TestMutantsOnGeneratedCells:
         for r in results:
             assert r.caught, f"{r.name}: {r.detail}"
             assert r.upstream_clean, f"{r.name}: {r.detail}"
+
+
+def _digest(bundle) -> str:
+    """Everything a twin's signoff reads: layout rects and ports, circuit."""
+    layout, circuit = bundle.layout, bundle.circuit
+    state = (
+        sorted((layer.value, tuple(rects))
+               for layer, rects in layout.rects.items()),
+        sorted(layout.ports.items()),
+        tuple(circuit.transistors),
+        tuple(circuit.loads),
+        sorted(bundle.ports.items()),
+        bundle.clocks,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+class TestSharedTwins:
+    """Twins are built once per process and signed off once per
+    ``Signoff``; sharing them must never leak state between designs."""
+
+    def test_one_cell_type_one_twin_object(self):
+        a = compile_workload("match", 4).bundles
+        b = compile_workload("match", 16, char_bits=4).bundles
+        assert sorted(a) == sorted(b)
+        for name in a:
+            assert a[name] is b[name], name
+
+    @pytest.mark.parametrize("kernel", ["match", "count", "inner-product"])
+    def test_mutation_factories_leave_their_input_unchanged(self, kernel):
+        from functools import partial
+
+        from repro.signoff.mutations import (
+            LAYOUT_MUTANTS, NETLIST_MUTANTS, timing_unbuffered_chain,
+        )
+
+        chip = compile_workload(kernel, 4)
+        twin = chip.bundles[f"{chip.library.result_cell.name}_pos"]
+        port = "r_out0" if "r_out0" in twin.ports else "r_out"
+        factories = {**LAYOUT_MUTANTS, **NETLIST_MUTANTS}
+        factories["timing-unbuffered-chain"] = partial(
+            timing_unbuffered_chain, port=port
+        )
+        before = _digest(twin)
+        for name, factory in factories.items():
+            factory(twin)
+            assert _digest(twin) == before, name
+
+    def test_mutants_caught_after_clean_run_and_clean_run_after(self):
+        signoff = Signoff()
+        chip = compile_workload("count", 8)
+        assert signoff.run_design(chip).ok
+        results = run_design_mutants(chip, signoff)
+        assert {r.name for r in results} == {
+            "drc-metal-sliver", "lvs-shorted-tracks", "lvs-missing-contact",
+            "erc-undersized-pullup", "erc-misphased-transfer",
+            "timing-unbuffered-chain",
+        }
+        for r in results:
+            assert r.ok, f"{r.name}: {r.detail}"
+        report = signoff.run_design(chip)
+        assert report.ok, report.summary()
+
+    def test_renamed_mutant_is_signed_off_afresh(self):
+        """The per-twin cache is keyed by object: a mutant carrying a
+        clean twin's name still gets its own DRC."""
+        from repro.signoff.mutations import drc_metal_sliver
+
+        signoff = Signoff()
+        chip = compile_workload("match", 4)
+        assert signoff.run_design(chip).ok
+        name = "comparator_pos"
+        _mutation, mutant = drc_metal_sliver(chip.bundles[name])
+        mutant.name = name
+        chip._bundles = {**chip.bundles, name: mutant}
+        report = signoff.run_design(chip)
+        drc = next(s for s in report.stages if s.stage == "drc")
+        assert any(f.rule == "metal-width" and f.where == name
+                   for f in drc.errors)
 
 
 class TestCompilerCli:

@@ -1,6 +1,8 @@
 """Stick diagrams: electrical interpretation, generated cells, DRC."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.cells.accumulator import build_accumulator
@@ -17,6 +19,53 @@ from repro.layout.design_rules import DesignRuleChecker
 from repro.layout.geometry import Rect
 from repro.layout.layers import Layer
 from repro.layout.sticks import StickDiagram
+
+
+def reference_sites(sd):
+    """Point-enumeration oracle for ``transistor_sites``: every lambda
+    point of every poly and diffusion stick, intersected."""
+    poly_pts, diff_pts = set(), set()
+    for s in sd.sticks:
+        if s.layer is Layer.POLY:
+            poly_pts.update(s.points())
+        elif s.layer is Layer.DIFFUSION:
+            diff_pts.update(s.points())
+    contact_pts = {c.at for c in sd.contacts}
+    implant_pts = {i.at for i in sd.implants}
+    return [
+        (p, p in implant_pts)
+        for p in sorted(poly_pts & diff_pts, key=lambda q: (q.y, q.x))
+        if p not in contact_pts
+    ]
+
+
+#: A small grid, so collinear runs, endpoint touches and crossings are
+#: common in random diagrams.
+GRID = 8
+_coord = st.integers(0, GRID)
+
+
+@st.composite
+def stick_diagrams(draw):
+    sd = StickDiagram("random", GRID, GRID)
+    for _ in range(draw(st.integers(0, 10))):
+        layer = draw(st.sampled_from([Layer.POLY, Layer.DIFFUSION, Layer.METAL]))
+        track = draw(_coord)
+        a, b = draw(st.lists(_coord, min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            sd.stick(layer, a, track, b, track)
+        else:
+            sd.stick(layer, track, a, track, b)
+    # Contacts and implants land on crossings as often as not.
+    crossings = [p for p, _ in reference_sites(sd)]
+    spot = st.tuples(_coord, _coord)
+    if crossings:
+        spot = spot | st.sampled_from([(p.x, p.y) for p in crossings])
+    for x, y in draw(st.lists(spot, max_size=4)):
+        sd.contact(x, y, Layer.POLY, Layer.DIFFUSION)
+    for x, y in draw(st.lists(spot, max_size=4)):
+        sd.implant(x, y)
+    return sd
 
 
 class TestStickDiagramPrimitives:
@@ -42,6 +91,27 @@ class TestStickDiagramPrimitives:
         sd.stick(Layer.POLY, 0, 5, 10, 5)
         sd.contact(5, 5, Layer.POLY, Layer.DIFFUSION)
         assert sd.transistor_sites() == []
+
+    def test_collinear_poly_and_diffusion_overlap_everywhere(self):
+        sd = StickDiagram("t", 10, 10)
+        sd.stick(Layer.DIFFUSION, 0, 5, 6, 5)
+        sd.stick(Layer.POLY, 4, 5, 10, 5)
+        sites = sd.transistor_sites()
+        assert [(p.x, p.y) for p, _ in sites] == [(4, 5), (5, 5), (6, 5)]
+        assert sites == reference_sites(sd)
+
+    def test_endpoint_touch_is_a_site(self):
+        sd = StickDiagram("t", 10, 10)
+        sd.stick(Layer.DIFFUSION, 5, 0, 5, 5)
+        sd.stick(Layer.POLY, 5, 5, 10, 5)
+        sites = sd.transistor_sites()
+        assert [(p.x, p.y) for p, _ in sites] == [(5, 5)]
+        assert sites == reference_sites(sd)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stick_diagrams())
+    def test_sites_match_point_enumeration(self, sd):
+        assert sd.transistor_sites() == reference_sites(sd)
 
     def test_connectivity_through_contact_only(self):
         sd = StickDiagram("t", 10, 10)
@@ -141,6 +211,26 @@ class TestGeneratedCells:
     def test_empty_circuit_rejected(self):
         with pytest.raises(LayoutError):
             generate_cell_sticks(Circuit("empty"), {}, "e")
+
+
+class TestGeneratedTwinSites:
+    """The crossing lookup agrees with point enumeration on every twin
+    the compiler generates."""
+
+    @pytest.mark.parametrize("positive", [True, False], ids=["pos", "neg"])
+    @pytest.mark.parametrize(
+        "kernel,cells,cell_type",
+        [("match", 8, "comparator"), ("match", 8, "accumulator"),
+         ("count", 8, "counter4"), ("inner-product", 4, "mac2x6")],
+    )
+    def test_twin_sites_match_point_enumeration(self, kernel, cells,
+                                                cell_type, positive):
+        from repro.compiler import compile_workload
+
+        twin = f"{cell_type}_{'pos' if positive else 'neg'}"
+        sd = compile_workload(kernel, cells).bundles[twin].sticks
+        sites = sd.transistor_sites()
+        assert sites and sites == reference_sites(sd)
 
 
 class TestDesignRuleChecker:
