@@ -54,7 +54,9 @@ the retention window since a node was last driven, its stored value reads
 as UNKNOWN.  This is the "dynamic shift registers ... are incapable of
 holding data for more than about 1 ms without shifting" of Section 3.3.3,
 and the strict mode raises :class:`~repro.errors.ChargeDecayError` so
-tests can assert the failure mode.  The event engine tracks the earliest
+tests can assert the failure mode.  When one pass finds several decayed
+nodes, both engines finish resolving it and name the first of them in
+the circuit's node order.  The event engine tracks the earliest
 retention deadline over all charge-holding nodes, so clock beats that
 cannot have decayed anything pay nothing for the check.
 """
@@ -101,6 +103,16 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+
+def _decay_error(circuit: Circuit, node) -> ChargeDecayError:
+    """The strict-mode error for *node*, the first decayed node (in the
+    circuit's node order) that a settle pass read."""
+    return ChargeDecayError(
+        f"{circuit.name}: node {node.name} read "
+        f"{circuit.time_ns - node.last_refresh:.0f} ns after last refresh "
+        f"(retention {circuit.retention_ns:.0f} ns)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +166,7 @@ def _reference_pass(circuit: Circuit, strict_decay: bool) -> bool:
     loads_by_node: Dict[str, bool] = {d.node: True for d in circuit.loads}
 
     resolved: Dict[str, Tuple[LogicValue, Strength]] = {}
+    decayed: Set[str] = set()
     for root, group in members.items():
         value, strength = UNKNOWN, Strength.NONE
         for name in group:
@@ -189,14 +202,13 @@ def _reference_pass(circuit: Circuit, strict_decay: bool) -> bool:
                     and stored is not UNKNOWN
                 ):
                     if strict_decay:
-                        raise ChargeDecayError(
-                            f"{circuit.name}: node {name} read "
-                            f"{now - node.last_refresh:.0f} ns after last "
-                            f"refresh (retention {retention:.0f} ns)"
-                        )
+                        decayed.add(name)
                     stored = UNKNOWN
                 value, strength = resolve(value, strength, stored, Strength.CHARGE)
         resolved[root] = (value, strength)
+    if decayed:
+        first = next(name for name in nodes if name in decayed)
+        raise _decay_error(circuit, nodes[first])
 
     # Pessimism across MAYBE channels, applied to the transistor's own
     # terminal nodes rather than whole components: an unknown gate may
@@ -647,6 +659,11 @@ class _EventEngine:
         changed: Set[int] = set()
         watch = self._watch
         backfill = self._prev_now if first_pass else now
+        # Strict decay: the lowest decayed node id (node order) this pass.
+        # Once one is found the remaining writebacks are deferred, so the
+        # raise below leaves those components as they were.
+        decayed: Optional[int] = None
+        defer = have_maybe
         for part in parts.values():
             base = part.base
             rails = part.rails
@@ -678,20 +695,17 @@ class _EventEngine:
                                     and now - node.last_refresh > retention
                                     and stored is not UNKNOWN
                                 ):
-                                    if strict_decay:
-                                        raise ChargeDecayError(
-                                            f"{circuit.name}: node "
-                                            f"{node.name} read "
-                                            f"{now - node.last_refresh:.0f} ns"
-                                            f" after last refresh (retention "
-                                            f"{retention:.0f} ns)"
-                                        )
+                                    if strict_decay and (
+                                        decayed is None or i < decayed
+                                    ):
+                                        decayed = i
+                                        defer = True
                                     stored = UNKNOWN
                                 if s is _NONE:
                                     v, s = stored, _CHARGE
                                 elif v != stored:
                                     v = UNKNOWN
-                if have_maybe:
+                if defer:
                     res[sub] = (v, s)
                     continue
                 # Fused writeback (no MAYBE pessimism this pass).
@@ -725,6 +739,8 @@ class _EventEngine:
                     elif i in watch:
                         watch.discard(i)
                         self._deadline = None
+        if decayed is not None:
+            raise _decay_error(circuit, nodes[decayed])
         self.stat_passes += 1
         self.stat_comps_resolved += len(parts)
         if not have_maybe:

@@ -10,6 +10,18 @@ result is produced by a verified engine, so service output is identical
 to the workload's oracle no matter how the job was routed, retried, or
 sharded.
 
+The farm has one execution unit.  A plan popped from the queues becomes
+one or more executions, each a list of ``(job state, shard)`` items
+committed to one worker: a singleton is one whole-text item, a
+text-sharded job one execution per shard, and a batch plan one
+whole-text item per member.  Every execution draws one fault, sums its
+items' demand, serves the items whose deadline it would blow from the
+host (then projects the rest once more), and reserves the bus once.  On
+completion it runs the kernel (``run_kernel`` for a singleton or shard,
+``run_kernel_batch`` for a batch plan) or, when its worker died, puts
+all its items up for one retry or serves each from the host oracle.  A
+job's ``started_beat`` is its first launch, however it ends.
+
 ``submit(workload=...)`` serves any kernel registered in
 :mod:`repro.workloads` -- matching (the default), match counting,
 correlation, convolution, FIR, sliding inner products (Section 3.4) --
@@ -25,9 +37,8 @@ under fault injection in ``tests/test_workloads_service.py``.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
@@ -38,7 +49,6 @@ from .reliability import FaultInjector, FaultKind, RetryPolicy, SoftwareFallback
 from .scheduler import BeatClock, JobQueues, Priority, SchedulerConfig, SharedBus
 from .sharding import (
     ShardMode,
-    ShardPlan,
     TextShard,
     merge_shard_values,
     plan_shards,
@@ -110,64 +120,46 @@ class JobResult:
 
 @dataclass
 class _JobState:
-    """In-flight bookkeeping for one job."""
+    """In-flight bookkeeping for one job: its shards and what came back.
+
+    ``mode`` is the label its plan runs under (``direct``, ``multipass``,
+    ``text-sharded`` or ``batched``); ``shards`` is one whole-text shard
+    unless the job is text-sharded."""
 
     job: MatchJob
-    plan: ShardPlan
-    pending: Dict[int, TextShard]
+    mode: str
+    shards: List[TextShard]
     shard_results: Dict[int, List] = field(default_factory=dict)
-    shard_finish: Dict[int, float] = field(default_factory=dict)
-    started_beat: Optional[float] = None
-    service_beats: float = 0.0
+    started_beat: Optional[float] = None  # first launch (or host service)
+    finished_beat: float = 0.0
+    #: Whole beats (an int, as ``PoolWorker.service_beats`` and
+    #: ``SoftwareFallback.beats`` count them) for a batch member or a job
+    #: only the host served; a singleton or sharded job sums the elapsed
+    #: beats of its executions (a float, host shards included).
+    service_beats: float = 0
     workers_used: List[str] = field(default_factory=list)
     via_fallback: bool = False
     timed_out: bool = False
 
-    @property
-    def done(self) -> bool:
-        return not self.pending
-
 
 @dataclass(frozen=True)
 class _Execution:
-    """One shard running on one worker (or dying on it)."""
+    """One launch on one worker (or its death there).
 
-    seq: int
-    state: _JobState
-    shard: TextShard
+    Each item is a ``(job state, shard)`` pair: a singleton or one shard
+    of a text-sharded job is one item, a batch plan is one whole-text
+    item per member.  All items share the plan's pattern/taps and live or
+    die together with the worker."""
+
+    items: List[Tuple[_JobState, TextShard]]
     worker: PoolWorker
     start_beat: float
     finish_beat: float
     fault: Optional[object]
 
-
-@dataclass
-class _BatchState:
-    """In-flight bookkeeping for one batch plan (a multi-job plan from
-    :func:`~repro.service.planner.coalesce`).
-
-    All members share one parsed pattern/tap vector, tenant, and
-    priority (the ``submit_many`` contract), and every member's text is
-    *unique* -- duplicates were already peeled off as followers of their
-    representative.  The batch occupies one worker for the sum of its
-    members' service beats and is retried, shed, or degraded as a unit
-    (per-member deadlines are still honoured individually at launch)."""
-
-    jobs: List[MatchJob]  # members still owed a device execution
-    started_beat: Optional[float] = None
-    attempts: int = 0  # failed batch executions (drives the retry policy)
-
-
-@dataclass(frozen=True)
-class _BatchExecution:
-    """One whole batch running on one worker (or dying on it)."""
-
-    seq: int
-    state: _BatchState
-    worker: PoolWorker
-    start_beat: float
-    finish_beat: float
-    fault: Optional[object]
+    @property
+    def batched(self) -> bool:
+        return self.items[0][0].mode == "batched"
 
 
 class MatcherService:
@@ -211,9 +203,11 @@ class MatcherService:
         self.cache = cache
         self._next_id = 0
         self._seq = 0
-        self._inflight: List[Tuple[float, int, object]] = []
-        self._retry_ready: Deque[Tuple[_JobState, TextShard]] = deque()
-        self._retry_batches: Deque[_BatchState] = deque()
+        self._inflight: List[Tuple[float, int, _Execution]] = []
+        # Items of dead executions awaiting a retry launch, a heap of
+        # ``(batched, seq, items)``: unbatched ones (a singleton or a
+        # shard) relaunch first, each kind in the order it died.
+        self._retry: List[Tuple[bool, int, list]] = []
         self._followers: Dict[int, List[MatchJob]] = {}
         self._completed: Dict[int, JobResult] = {}
         for w in pool:
@@ -343,8 +337,9 @@ class MatcherService:
                 spec, parsed, text, tenant, priority, timeout
             )
             job_ids.append(job.job_id)
+            now = self.clock.now
             if not validated:
-                self._complete_empty(job)
+                self._record(job, [], now, now, 0.0, ShardMode.DIRECT.value)
                 continue
             job.cache_key = result_cache_key(
                 workload, parsed, validated, spec.numeric, params=params
@@ -354,7 +349,8 @@ class MatcherService:
                     job.cache_key, tenant=tenant, now=self.clock.now
                 )
                 if hit is not None:
-                    self._complete_cached(job, hit)
+                    # No queue, no worker, no bus, zero service beats.
+                    self._record(job, hit, now, now, 0.0, "cached")
                     continue
             admitted.append(job)
         wide = self.config.wide_text_threshold
@@ -373,7 +369,7 @@ class MatcherService:
                 self.telemetry.backpressure_hits += 1
                 if self.config.degrade_when_saturated:
                     for job in plan:
-                        self._complete_member_software(job)
+                        self._fallback(*self._whole(job))
                     continue
                 for late in plans[i:]:
                     for job in late:
@@ -395,19 +391,13 @@ class MatcherService:
     def drain(self) -> List[JobResult]:
         """Run the farm until every admitted job has completed; returns
         all results so far, in job-id order."""
-        while (
-            self.queues.depth() or self._retry_ready
-            or self._retry_batches or self._inflight
-        ):
+        while self.queues.depth() or self._retry or self._inflight:
             self._assign_all()
             if not self._inflight:
                 if self.pool.n_live == 0:
                     self._degrade_remaining()
                     continue
-                if (
-                    not self.queues.depth() and not self._retry_ready
-                    and not self._retry_batches
-                ):
+                if not self.queues.depth() and not self._retry:
                     # Everything was served inline (deadline timeouts /
                     # saturation degrades) without touching a worker.
                     continue
@@ -416,10 +406,7 @@ class MatcherService:
                 )
             _, _, execution = heapq.heappop(self._inflight)
             self.clock.advance_to(execution.finish_beat)
-            if isinstance(execution, _BatchExecution):
-                self._complete_batch(execution)
-            else:
-                self._complete_execution(execution)
+            self._complete(execution)
         self._sync_telemetry()
         return [self._completed[i] for i in sorted(self._completed)]
 
@@ -434,23 +421,15 @@ class MatcherService:
             idle = self.pool.idle_workers()
             if not idle:
                 return
-            if self._retry_ready:
-                state, shard = self._retry_ready.popleft()
-                worker = self._choose_worker(idle, state.job.window_len)
-                self._launch(state, shard, worker)
-                continue
-            if self._retry_batches:
-                bstate = self._retry_batches.popleft()
-                worker = self._choose_worker(idle, bstate.jobs[0].window_len)
-                self._launch_batch(bstate, worker)
+            if self._retry:
+                items = heapq.heappop(self._retry)[2]
+                plen = items[0][0].job.window_len
+                self._launch(items, self._choose_worker(idle, plen))
                 continue
             plan = self.queues.pop()
             if plan is None:
                 return
-            if len(plan) > 1:
-                self._start_batch(plan)
-            else:
-                self._start_job(plan[0])
+            self._start(plan)
 
     @staticmethod
     def _choose_worker(
@@ -463,7 +442,21 @@ class MatcherService:
             return min(fitting, key=lambda w: (w.capacity, w.name))
         return max(idle, key=lambda w: (w.capacity, w.name))
 
-    def _start_job(self, job: MatchJob) -> None:
+    @staticmethod
+    def _whole(
+        job: MatchJob, mode: str = ShardMode.DIRECT.value,
+        service_beats: float = 0,
+    ) -> Tuple[_JobState, TextShard]:
+        """A one-shard state for *job* and its whole-text shard."""
+        whole = TextShard(0, 0, len(job.text) - 1, 0)
+        return _JobState(job, mode, [whole], service_beats=service_beats), whole
+
+    def _start(self, plan: List[MatchJob]) -> None:
+        """Launch a plan popped from the queues: a wide singleton across
+        several fitting idle workers (one execution per shard) when the
+        shard planner splits it, otherwise one execution on the best-fit
+        worker (one whole-text item per member)."""
+        job = plan[0]
         self._note_queue_depth(job.priority)
         idle = self.pool.idle_workers()
         plen, tlen = job.window_len, len(job.text)
@@ -471,7 +464,7 @@ class MatcherService:
             (w for w in idle if w.fits(plen)), key=lambda w: (w.capacity, w.name)
         )
         if tlen >= self.config.wide_text_threshold and len(fitting) >= 2:
-            plan = plan_shards(
+            shard_plan = plan_shards(
                 plen,
                 tlen,
                 len(fitting),
@@ -479,415 +472,245 @@ class MatcherService:
                 self.config.min_shard_chars,
                 obs=self.obs,
             )
-            if plan.mode is ShardMode.TEXT_SHARDED:
+            if shard_plan.mode is ShardMode.TEXT_SHARDED:
                 state = _JobState(
-                    job, plan, pending={s.index: s for s in plan.shards}
+                    job, shard_plan.mode.value, shard_plan.shards,
+                    service_beats=0.0,
                 )
-                for shard, worker in zip(plan.shards, fitting):
-                    self._launch(state, shard, worker)
+                for shard, worker in zip(shard_plan.shards, fitting):
+                    self._launch([(state, shard)], worker)
                 return
         worker = self._choose_worker(idle, plen)
+        if len(plan) > 1:
+            self._launch(
+                [self._whole(member, "batched") for member in plan], worker
+            )
+            return
         mode = ShardMode.DIRECT if worker.fits(plen) else ShardMode.MULTIPASS
-        whole = TextShard(0, 0, tlen - 1, 0)
-        state = _JobState(job, ShardPlan(mode, [whole]), pending={0: whole})
-        self._launch(state, whole, worker)
+        self._launch([self._whole(job, mode.value, 0.0)], worker)
 
     def _launch(
-        self, state: _JobState, shard: TextShard, worker: PoolWorker
+        self, items: List[Tuple[_JobState, TextShard]], worker: PoolWorker
     ) -> None:
+        """Commit *items* to *worker* as one execution: one fault sample,
+        their summed demand, one bus reservation.  Items whose deadline
+        the projected finish would blow are served on the host instead
+        (the worker is never committed for them) and the rest are
+        projected once more."""
         now = self.clock.now
-        plen = state.job.window_len
-        n_fed = shard.n_fed
-        service = worker.service_beats(plen, n_fed)
-        chars = worker.transfer_chars(plen, n_fed)
+        plen = items[0][0].job.window_len
+        # One fault sample per execution: every item lives or dies with
+        # the worker it lands on.
         fault = self.faults.sample()
-        if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
-            # The stream dies partway through; beats and bus time up to
-            # the failure point are burned, nothing useful comes back.
-            burned = max(1.0, fault.at_fraction * service)
-            bus_chars = int(chars * fault.at_fraction)
-            finish = now + burned
-        else:
+
+        def project(items) -> Tuple[float, int]:
+            service = sum(worker.service_beats(plen, s.n_fed) for _, s in items)
+            chars = sum(worker.transfer_chars(plen, s.n_fed) for _, s in items)
+            if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
+                # The stream dies partway through; beats and bus time up
+                # to the failure point are burned, nothing comes back.
+                burned = max(1.0, fault.at_fraction * service)
+                return now + burned, int(chars * fault.at_fraction)
             extra = fault.extra_beats if fault is not None else 0
-            bus_chars = chars
-            finish = max(now + service + extra, self.bus.eta(chars, now))
-        deadline = state.job.deadline
-        if deadline is not None and finish > deadline:
+            return max(now + service + extra, self.bus.eta(chars, now)), chars
+
+        finish, bus_chars = project(items)
+        keep = []
+        for state, shard in items:
+            deadline = state.job.deadline
+            if deadline is None or finish <= deadline:
+                keep.append((state, shard))
+                continue
             # The SLO would be blown before this launch even finished
-            # (slow worker, stuck beats, bus queue, or a death that
-            # would burn past the deadline): don't commit the worker or
-            # the bus at all -- serve the shard degraded right now.
-            # The sampled fault is discarded with the launch.
+            # (slow worker, stuck beats, bus queue, or a death that would
+            # burn past the deadline): serve the item degraded right now.
             self.telemetry.timeouts += 1
             state.timed_out = True
-            if state.started_beat is None:
-                state.started_beat = now
             if self.obs is not None:
                 self.obs.tracer.event(
                     "job.timeout", t=now, unit="beats",
                     job_id=state.job.job_id, shard=shard.index,
                     projected_finish=finish, deadline=deadline,
                 )
-            self._shard_software(state, shard)
-            return
-        if state.started_beat is None:
-            state.started_beat = now
+            self._fallback(state, shard)
+        if not keep:
+            return  # the sampled fault is discarded with the launch
+        if len(keep) < len(items):
+            finish, bus_chars = project(keep)
+        for state, _ in keep:
+            if state.started_beat is None:
+                state.started_beat = now
         worker.state = WorkerState.BUSY
         self.bus.reserve(bus_chars, now)
         self._seq += 1
-        execution = _Execution(
-            self._seq, state, shard, worker, now, finish, fault
-        )
+        execution = _Execution(keep, worker, now, finish, fault)
         heapq.heappush(self._inflight, (finish, self._seq, execution))
 
     # -- completion --------------------------------------------------------
 
-    def _complete_execution(self, execution: _Execution) -> None:
-        state, shard, worker = execution.state, execution.shard, execution.worker
-        job = state.job
+    def _complete(self, execution: _Execution) -> None:
+        items, worker = execution.items, execution.worker
+        t0, t1 = execution.start_beat, execution.finish_beat
+        job = items[0][0].job
         stats = self.telemetry.worker_stats(worker.name, worker.capacity)
         stats.executions += 1
-        stats.record_busy(execution.start_beat, execution.finish_beat)
+        stats.record_busy(t0, t1)
         fault = execution.fault
-        exec_span = None
+        batched = execution.batched
+        span = None
         if self.obs is not None:
-            exec_span = self.obs.tracer.record(
-                "service.execution",
-                t0=execution.start_beat, t1=execution.finish_beat,
-                unit="beats", parent=job.span,
-                worker=worker.name, shard=shard.index,
-                attempt=job.attempts,
-                fault=fault.kind.value if fault is not None else None,
-            )
+            kind = fault.kind.value if fault is not None else None
+            if batched:
+                span = self.obs.tracer.record(
+                    "service.batch", t0=t0, t1=t1, unit="beats",
+                    worker=worker.name, jobs=len(items),
+                    workload=job.workload, attempt=job.attempts, fault=kind,
+                )
+            else:
+                span = self.obs.tracer.record(
+                    "service.execution", t0=t0, t1=t1, unit="beats",
+                    parent=job.span, worker=worker.name,
+                    shard=items[0][1].index,
+                    attempt=job.attempts, fault=kind,
+                )
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
             worker.state = WorkerState.DEAD
             stats.died = True
             self.telemetry.deaths += 1
-            job.attempts += 1
+            for state, _ in items:
+                state.job.attempts += 1
+            # Every item of one execution has failed equally often.
             if self.retry.should_retry(job.attempts) and self.pool.n_live > 0:
                 self.telemetry.retries += 1
-                self._retry_ready.append((state, shard))
+                self._seq += 1
+                heapq.heappush(self._retry, (batched, self._seq, items))
             else:
-                self._shard_software(state, shard)
+                for state, shard in items:
+                    self._fallback(state, shard)
             return
         worker.state = WorkerState.IDLE
         if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
             stats.stuck_events += 1
             self.telemetry.stuck_events += 1
-        results = worker.run_kernel(
-            job.spec, job.taps, shard.feed(job.text), obs=self.obs,
-            parent=exec_span, t0=execution.start_beat,
-            t1=execution.finish_beat,
-        )
-        state.shard_results[shard.index] = results
-        state.shard_finish[shard.index] = execution.finish_beat
-        state.service_beats += execution.finish_beat - execution.start_beat
-        state.workers_used.append(worker.name)
-        del state.pending[shard.index]
-        if state.done:
-            self._finalize(state)
+        feeds = [shard.feed(state.job.text) for state, shard in items]
+        if batched:
+            outputs = worker.run_kernel_batch(
+                job.spec, job.taps, feeds,
+                obs=self.obs, parent=span, t0=t0, t1=t1,
+            )
+            self.telemetry.batches += 1
+            self.telemetry.batched_jobs += len(items)
+        else:
+            outputs = [worker.run_kernel(
+                job.spec, job.taps, feeds[0],
+                obs=self.obs, parent=span, t0=t0, t1=t1,
+            )]
+        for (state, shard), results in zip(items, outputs):
+            # A batch member is charged its own device run on this
+            # worker, not the whole batch's occupancy.
+            beats = (
+                worker.service_beats(job.window_len, shard.n_fed)
+                if batched else t1 - t0
+            )
+            state.workers_used.append(worker.name)
+            self._settle(state, shard, results, t1, beats)
 
-    def _shard_software(self, state: _JobState, shard: TextShard) -> None:
-        """Retries exhausted (or no live workers): the host CPU finishes
-        this shard with the workload's oracle."""
+    def _fallback(self, state: _JobState, shard: TextShard) -> None:
+        """Serve one shard from the host CPU with the workload's oracle:
+        deadline shed, retry exhaustion, an exhausted pool, or a
+        saturated queue."""
         job = state.job
+        now = self.clock.now
+        if state.started_beat is None:
+            state.started_beat = now
         feed = shard.feed(job.text)
         results = self.fallback.kernel(job.spec, job.taps, feed)
         beats = self.fallback.beats(job.window_len, len(feed), self.beat_ns)
-        finish = self.clock.now + beats
-        if self.obs is not None:
-            self.obs.tracer.record(
-                "service.software_fallback", t0=self.clock.now, t1=finish,
-                unit="beats", parent=job.span,
-                shard=shard.index, chars=len(feed),
-            )
-        state.shard_results[shard.index] = results
-        state.shard_finish[shard.index] = finish
-        state.service_beats += beats
-        state.via_fallback = True
-        self.telemetry.fallbacks += 1
-        del state.pending[shard.index]
-        if state.done:
-            self._finalize(state)
-
-    def _finalize(self, state: _JobState) -> None:
-        job, plan = state.job, state.plan
-        if plan.mode is ShardMode.TEXT_SHARDED:
-            ordered = [state.shard_results[s.index] for s in plan.shards]
-            merged = merge_shard_values(
-                plan.shards, ordered, len(job.text), job.spec.incomplete
-            )
-        else:
-            merged = state.shard_results[0]
-        results = job.spec.finalize(job.taps, job.orig_len, merged)
-        finished = max(state.shard_finish.values())
-        started = state.started_beat if state.started_beat is not None else finished
-        mode = "software" if state.via_fallback and not state.workers_used \
-            else plan.mode.value
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=job.submitted_beat,
-                started_beat=started,
-                finished_beat=finished,
-                wait_beats=started - job.submitted_beat,
-                service_beats=state.service_beats,
-                mode=mode,
-                workers=tuple(state.workers_used),
-                attempts=job.attempts,
-                via_fallback=state.via_fallback,
-                workload=job.workload,
-                timed_out=state.timed_out,
-            ),
-            job,
-        )
-
-    def _complete_empty(self, job: MatchJob) -> None:
-        now = self.clock.now
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=[],
-                submitted_beat=now,
-                started_beat=now,
-                finished_beat=now,
-                wait_beats=0.0,
-                service_beats=0.0,
-                mode=ShardMode.DIRECT.value,
-                workers=(),
-                attempts=0,
-                via_fallback=False,
-                workload=job.workload,
-            ),
-            job,
-        )
-
-    def _complete_cached(self, job: MatchJob, results: List) -> None:
-        """Cache hit: the canonical answer is already known -- no queue,
-        no worker, no bus, zero service beats."""
-        now = self.clock.now
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=job.submitted_beat,
-                started_beat=now,
-                finished_beat=now,
-                wait_beats=0.0,
-                service_beats=0.0,
-                mode="cached",
-                workers=(),
-                attempts=0,
-                via_fallback=False,
-                workload=job.workload,
-            ),
-            job,
-        )
-
-    def _complete_member_software(
-        self, job: MatchJob, timed_out: bool = False
-    ) -> None:
-        """Serve one whole job from the host CPU (saturation degrade,
-        deadline shed, retry exhaustion, or an exhausted pool),
-        preserving its original submission beat for latency accounting."""
-        merged = self.fallback.kernel(job.spec, job.taps, job.text)
-        results = job.spec.finalize(job.taps, job.orig_len, merged)
-        beats = self.fallback.beats(job.window_len, len(job.text), self.beat_ns)
-        now = self.clock.now
-        self.telemetry.fallbacks += 1
         if self.obs is not None:
             self.obs.tracer.record(
                 "service.software_fallback", t0=now, t1=now + beats,
-                unit="beats", parent=job.span, chars=len(job.text),
+                unit="beats", parent=job.span,
+                shard=shard.index, chars=len(feed),
             )
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=job.submitted_beat,
-                started_beat=now,
-                finished_beat=now + beats,
-                wait_beats=now - job.submitted_beat,
-                service_beats=beats,
-                mode="software",
-                workers=(),
-                attempts=job.attempts,
-                via_fallback=True,
-                workload=job.workload,
-                timed_out=timed_out,
-            ),
-            job,
-        )
+        state.via_fallback = True
+        self.telemetry.fallbacks += 1
+        self._settle(state, shard, results, now + beats, beats)
 
-    # -- batch plans -------------------------------------------------------
-
-    def _start_batch(self, plan: List[MatchJob]) -> None:
-        self._note_queue_depth(plan[0].priority)
-        worker = self._choose_worker(
-            self.pool.idle_workers(), plan[0].window_len
-        )
-        self._launch_batch(_BatchState(list(plan)), worker)
-
-    def _batch_demand(
-        self, jobs: Sequence[MatchJob], worker: PoolWorker
-    ) -> Tuple[float, int]:
-        """Summed device beats and bus characters for a batch's members
-        run back-to-back on *worker* (one load of the shared pattern per
-        member, same accounting as a singleton launch)."""
-        plen = jobs[0].window_len
-        service = sum(worker.service_beats(plen, len(j.text)) for j in jobs)
-        chars = sum(worker.transfer_chars(plen, len(j.text)) for j in jobs)
-        return service, chars
-
-    def _launch_batch(self, state: _BatchState, worker: PoolWorker) -> None:
-        now = self.clock.now
-
-        def project(jobs):
-            service, chars = self._batch_demand(jobs, worker)
-            if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
-                burned = max(1.0, fault.at_fraction * service)
-                return now + burned, int(chars * fault.at_fraction)
-            extra = fault.extra_beats if fault is not None else 0
-            return max(now + service + extra, self.bus.eta(chars, now)), chars
-
-        # One fault sample per batch execution: the whole batch lives or
-        # dies with the worker it lands on.
-        fault = self.faults.sample()
-        finish, bus_chars = project(state.jobs)
-        shed = [
-            j for j in state.jobs
-            if j.deadline is not None and finish > j.deadline
-        ]
-        if shed:
-            # Per-member SLO check before committing the worker: members
-            # whose deadline the projected finish would blow are served
-            # degraded right now; the survivors are re-projected once.
-            shed_ids = {j.job_id for j in shed}
-            for job in shed:
-                self.telemetry.timeouts += 1
-                if self.obs is not None:
-                    self.obs.tracer.event(
-                        "job.timeout", t=now, unit="beats",
-                        job_id=job.job_id, batch=True,
-                        projected_finish=finish, deadline=job.deadline,
-                    )
-                self._complete_member_software(job, timed_out=True)
-            state.jobs = [
-                j for j in state.jobs if j.job_id not in shed_ids
-            ]
-            if not state.jobs:
-                return  # the worker was never committed
-            finish, bus_chars = project(state.jobs)
-        if state.started_beat is None:
-            state.started_beat = now
-        worker.state = WorkerState.BUSY
-        self.bus.reserve(bus_chars, now)
-        self._seq += 1
-        execution = _BatchExecution(
-            self._seq, state, worker, now, finish, fault
-        )
-        heapq.heappush(self._inflight, (finish, self._seq, execution))
-
-    def _complete_batch(self, execution: _BatchExecution) -> None:
-        state, worker = execution.state, execution.worker
-        jobs = state.jobs
-        stats = self.telemetry.worker_stats(worker.name, worker.capacity)
-        stats.executions += 1
-        stats.record_busy(execution.start_beat, execution.finish_beat)
-        fault = execution.fault
-        batch_span = None
-        if self.obs is not None:
-            batch_span = self.obs.tracer.record(
-                "service.batch",
-                t0=execution.start_beat, t1=execution.finish_beat,
-                unit="beats", worker=worker.name, jobs=len(jobs),
-                workload=jobs[0].workload, attempt=state.attempts,
-                fault=fault.kind.value if fault is not None else None,
-            )
-        if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
-            worker.state = WorkerState.DEAD
-            stats.died = True
-            self.telemetry.deaths += 1
-            state.attempts += 1
-            for job in state.jobs:
-                job.attempts += 1
-            if self.retry.should_retry(state.attempts) and self.pool.n_live:
-                self.telemetry.retries += 1
-                self._retry_batches.append(state)
-            else:
-                for job in state.jobs:
-                    self._complete_member_software(job)
+    def _settle(
+        self, state: _JobState, shard: TextShard, results: List,
+        finish: float, beats: float,
+    ) -> None:
+        """File one shard's results; complete the job once all are in."""
+        state.shard_results[shard.index] = results
+        state.finished_beat = max(state.finished_beat, finish)
+        state.service_beats += beats
+        if len(state.shard_results) < len(state.shards):
             return
-        worker.state = WorkerState.IDLE
-        if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
-            stats.stuck_events += 1
-            self.telemetry.stuck_events += 1
-        results_many = worker.run_kernel_batch(
-            jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
-            obs=self.obs, parent=batch_span,
-            t0=execution.start_beat, t1=execution.finish_beat,
-        )
-        self.telemetry.batches += 1
-        started = (
-            state.started_beat if state.started_beat is not None
-            else execution.start_beat
-        )
-        plen = jobs[0].window_len
-        for job, merged in zip(jobs, results_many):
-            self.telemetry.batched_jobs += 1
-            self._record(
-                JobResult(
-                    job_id=job.job_id,
-                    tenant=job.tenant,
-                    priority=job.priority,
-                    results=job.spec.finalize(
-                        job.taps, job.orig_len, merged
-                    ),
-                    submitted_beat=job.submitted_beat,
-                    started_beat=started,
-                    finished_beat=execution.finish_beat,
-                    wait_beats=started - job.submitted_beat,
-                    # The member's share of the batch: what its own
-                    # device run would have cost on this worker.
-                    service_beats=worker.service_beats(plen, len(job.text)),
-                    mode="batched",
-                    workers=(worker.name,),
-                    attempts=job.attempts,
-                    via_fallback=False,
-                    workload=job.workload,
-                ),
-                job,
+        job = state.job
+        if len(state.shards) > 1:
+            merged = merge_shard_values(
+                state.shards,
+                [state.shard_results[s.index] for s in state.shards],
+                len(job.text), job.spec.incomplete,
             )
+        else:
+            merged = results
+        mode = "software" if state.via_fallback and not state.workers_used \
+            else state.mode
+        self._record(
+            job, job.spec.finalize(job.taps, job.orig_len, merged),
+            state.started_beat, state.finished_beat, state.service_beats,
+            mode, tuple(state.workers_used), state.via_fallback,
+            state.timed_out,
+        )
 
     def _degrade_remaining(self) -> None:
         """Every live worker is gone: drain all remaining work through
         the software fallback (availability over throughput)."""
-        while self._retry_ready:
-            state, shard = self._retry_ready.popleft()
-            self._shard_software(state, shard)
-        while self._retry_batches:
-            bstate = self._retry_batches.popleft()
-            for job in bstate.jobs:
-                self._complete_member_software(job)
+        while self._retry:
+            for state, shard in heapq.heappop(self._retry)[2]:
+                self._fallback(state, shard)
         while True:
             plan = self.queues.pop()
             if plan is None:
                 break
             for job in plan:
-                self._complete_member_software(job)
+                self._fallback(*self._whole(job))
 
     # -- accounting --------------------------------------------------------
 
-    def _record(self, result: JobResult, job: MatchJob) -> None:
+    def _record(
+        self,
+        job: MatchJob,
+        results: List,
+        started: float,
+        finished: float,
+        service_beats: float,
+        mode: str,
+        workers: Tuple[str, ...] = (),
+        via_fallback: bool = False,
+        timed_out: bool = False,
+    ) -> None:
+        """Complete *job*: build its :class:`JobResult`, account it,
+        close its span, fill the cache, and fan it out to any
+        deduplicated followers."""
+        result = JobResult(
+            job_id=job.job_id,
+            tenant=job.tenant,
+            priority=job.priority,
+            results=results,
+            submitted_beat=job.submitted_beat,
+            started_beat=started,
+            finished_beat=finished,
+            wait_beats=started - job.submitted_beat,
+            service_beats=service_beats,
+            mode=mode,
+            workers=workers,
+            attempts=job.attempts,
+            via_fallback=via_fallback,
+            workload=job.workload,
+            timed_out=timed_out,
+        )
         self._completed[result.job_id] = result
         self.telemetry.completed += 1
         self.telemetry.text_chars_served += len(result.results)
@@ -917,24 +740,8 @@ class MatcherService:
         # but keep their own identity and latency accounting.
         for follower in self._followers.pop(result.job_id, []):
             self._record(
-                JobResult(
-                    job_id=follower.job_id,
-                    tenant=follower.tenant,
-                    priority=follower.priority,
-                    results=list(result.results),
-                    submitted_beat=follower.submitted_beat,
-                    started_beat=result.started_beat,
-                    finished_beat=result.finished_beat,
-                    wait_beats=result.started_beat - follower.submitted_beat,
-                    service_beats=0.0,
-                    mode="deduped",
-                    workers=result.workers,
-                    attempts=0,
-                    via_fallback=result.via_fallback,
-                    workload=follower.workload,
-                    timed_out=result.timed_out,
-                ),
-                follower,
+                follower, list(results), started, finished, 0.0,
+                "deduped", workers, via_fallback, timed_out,
             )
 
     def _sync_telemetry(self) -> None:
